@@ -146,8 +146,15 @@ class Parser {
   Result<Value> parse_value() {
     if (pos_ >= text_.size()) return error("unexpected end of input");
     const char c = text_[pos_];
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxParseDepth) {
+        return error("nesting deeper than " + std::to_string(kMaxParseDepth));
+      }
+      ++depth_;
+      auto v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       auto s = parse_string();
       if (!s.ok()) return s.status();
@@ -267,6 +274,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open arrays/objects around pos_
 };
 
 }  // namespace

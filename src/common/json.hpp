@@ -81,7 +81,12 @@ class Value {
   Object object_;
 };
 
-/// Parses a JSON document; returns INVALID_ARGUMENT with a position on error.
+/// Deepest array/object nesting parse() accepts. The parser recurses once
+/// per level, so the bound keeps hostile input from overflowing the stack.
+inline constexpr int kMaxParseDepth = 256;
+
+/// Parses a JSON document; returns INVALID_ARGUMENT with a position on error
+/// (including nesting deeper than kMaxParseDepth).
 Result<Value> parse(std::string_view text);
 
 }  // namespace everest::json

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <set>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "compiler/dse.hpp"
@@ -29,12 +30,7 @@ compiler::KernelProfile scaled_profile(const compiler::KernelProfile& p,
 /// FNV-1a over the tuple key: folds the tuple identity into the DSE seed
 /// so two tuples never share an exploration stream by accident.
 std::uint64_t tuple_seed(const HotTuple& tuple, std::uint64_t seed) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (char c : tuple.key()) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h ^ seed;
+  return fnv1a(tuple.key()) ^ seed;
 }
 
 }  // namespace

@@ -1,16 +1,11 @@
 #include "serve/batcher.hpp"
 
-#include <thread>
-
 namespace everest::serve {
 
 bool Batcher::next_batch(Batch* out) {
-  // Wait for the opening request (bounded waits so close() is honoured).
-  std::optional<PendingRequest> head;
-  while (!head) {
-    head = queue_->pop(std::chrono::microseconds(2000));
-    if (!head && queue_->closed() && queue_->size() == 0) return false;
-  }
+  // The opening request: waits for a push, or for close() on an empty queue.
+  std::optional<PendingRequest> head = queue_->pop(Clock::time_point::max());
+  if (!head) return false;
 
   out->kernel = head->request.kernel;
   out->sla = head->request.sla;
@@ -20,21 +15,13 @@ bool Batcher::next_batch(Batch* out) {
   const std::size_t cap = out->sla == SlaClass::kLatencyCritical
                               ? policy_.lc_max_batch
                               : policy_.max_batch;
+  // Fill until the cap; a flush deadline or close() ends the wait early
+  // (a lone request flushes at size 1).
   const Clock::time_point flush_at = Clock::now() + policy_.max_wait;
   while (out->requests.size() < cap) {
-    auto more = queue_->pop_compatible(out->kernel, out->sla);
-    if (more) {
-      out->requests.push_back(std::move(*more));
-      continue;
-    }
-    const Clock::time_point now = Clock::now();
-    if (now >= flush_at || queue_->closed()) break;  // size-1 flush on timeout
-    // Brief nap bounded by the remaining wait budget; keeps the dispatcher
-    // from spinning while letting near-simultaneous arrivals coalesce.
-    const auto remaining =
-        std::chrono::duration_cast<std::chrono::microseconds>(flush_at - now);
-    std::this_thread::sleep_for(
-        std::min(remaining, std::chrono::microseconds(50)));
+    auto more = queue_->pop_compatible(out->kernel, out->sla, flush_at);
+    if (!more) break;
+    out->requests.push_back(std::move(*more));
   }
   return true;
 }

@@ -47,8 +47,6 @@ class Batcher {
   /// max_wait) join until the class's size cap is hit.
   bool next_batch(Batch* out);
 
-  [[nodiscard]] const BatchPolicy& policy() const { return policy_; }
-
  private:
   RequestQueue* queue_;
   BatchPolicy policy_;

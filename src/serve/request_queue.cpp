@@ -19,13 +19,16 @@ Status RequestQueue::push(PendingRequest pending) {
 }
 
 std::optional<PendingRequest> RequestQueue::pop_compatible(
-    const std::string& kernel, SlaClass sla) {
-  std::lock_guard<std::mutex> lock(mu_);
+    const std::string& kernel, SlaClass sla, Clock::time_point deadline) {
+  std::unique_lock<std::mutex> lock(mu_);
   auto& lane = lanes_[static_cast<int>(sla)];
-  const auto it = std::find_if(lane.begin(), lane.end(),
-                               [&](const PendingRequest& p) {
-                                 return p.request.kernel == kernel;
-                               });
+  auto it = lane.end();
+  cv_.wait_until(lock, deadline, [&] {
+    it = std::find_if(lane.begin(), lane.end(), [&](const PendingRequest& p) {
+      return p.request.kernel == kernel;
+    });
+    return it != lane.end() || closed_;
+  });
   if (it == lane.end()) return std::nullopt;
   PendingRequest out = std::move(*it);
   lane.erase(it);

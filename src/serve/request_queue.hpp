@@ -46,16 +46,16 @@ class TwoLaneQueue {
       }
       lanes_[lane == 0 ? 0 : 1].push_back(std::move(item));
     }
-    cv_.notify_one();
+    cv_.notify_all();  // a pop_compatible() waiter may not want this item
     return OkStatus();
   }
 
-  /// Pops the oldest item, priority lane first. Blocks up to `timeout`;
-  /// returns nullopt on timeout or when closed and drained.
-  std::optional<T> pop(std::chrono::microseconds timeout) {
+  /// Pops the oldest item, priority lane first. Blocks until one arrives;
+  /// nullopt once `deadline` passes or the queue is closed and drained.
+  std::optional<T> pop(Clock::time_point deadline) {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait_for(lock, timeout,
-                 [this] { return closed_ || total_locked() > 0; });
+    cv_.wait_until(lock, deadline,
+                   [this] { return closed_ || total_locked() > 0; });
     for (auto& lane : lanes_) {
       if (!lane.empty()) {
         T out = std::move(lane.front());
@@ -117,10 +117,12 @@ class RequestQueue : public TwoLaneQueue<PendingRequest> {
   /// FAILED_PRECONDITION when closed. Never blocks the producer.
   Status push(PendingRequest pending);
 
-  /// Pops the oldest queued request for `kernel` in `sla` class, if any.
-  /// Non-blocking; used by the batcher to coalesce compatible requests.
+  /// Pops the oldest queued request for `kernel` in `sla` class, blocking
+  /// until one arrives; nullopt once `deadline` passes or on close().
+  /// Clock::now() takes only what is already queued.
   std::optional<PendingRequest> pop_compatible(const std::string& kernel,
-                                               SlaClass sla);
+                                               SlaClass sla,
+                                               Clock::time_point deadline);
 };
 
 }  // namespace everest::serve

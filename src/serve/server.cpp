@@ -20,6 +20,10 @@ bool slo_shed_hit(std::uint64_t seed, std::uint32_t permille) {
   SplitMix64 sm(seed ^ 0x51c0517eda11edULL);
   return sm.next() % 1000 < permille;
 }
+
+/// Server::Outcome -> the request span's "outcome" annotation.
+constexpr const char* kOutcomeNames[] = {"ok", "degraded", "failed",
+                                         "expired", "unavailable"};
 }  // namespace
 
 Server::Server(ServerOptions options, runtime::KnowledgeBase* kb)
@@ -200,15 +204,22 @@ void Server::dispatch_loop() {
     // Backpressure first, batch formation second: while the pool is busy,
     // requests wait in the admission queue, where capacity rejection,
     // SLA-priority popping, and deadline aging all still apply.
-    while (inflight_batches_.load(std::memory_order_acquire) >=
-           max_inflight) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    {
+      std::unique_lock<std::mutex> lock(progress_mu_);
+      progress_cv_.wait(lock, [&] {
+        return inflight_batches_.load(std::memory_order_acquire) <
+               max_inflight;
+      });
     }
     if (!batcher_->next_batch(&batch)) break;
     inflight_batches_.fetch_add(1, std::memory_order_acq_rel);
     pool_->submit([this, moved = std::move(batch)]() mutable {
       execute_batch(std::move(moved));
-      inflight_batches_.fetch_sub(1, std::memory_order_acq_rel);
+      {
+        std::lock_guard<std::mutex> lock(progress_mu_);
+        inflight_batches_.fetch_sub(1, std::memory_order_acq_rel);
+      }
+      progress_cv_.notify_all();
     });
     batch = Batch{};
   }
@@ -217,44 +228,22 @@ void Server::dispatch_loop() {
 void Server::execute_batch(Batch batch) {
   const Clock::time_point dispatch_time = Clock::now();
   obs::Tracer* tracer = options_.tracer;
-  const bool tracing = tracer != nullptr && tracer->enabled();
 
   // SLA enforcement: answers after the deadline are worthless, so expired
   // requests are dropped here instead of burning handler time.
   std::vector<PendingRequest> live;
   live.reserve(batch.requests.size());
   for (PendingRequest& pending : batch.requests) {
-    if (options_.drop_expired && dispatch_time > pending.request.deadline) {
-      metrics_.record_expired();
-      Response response;
-      response.id = pending.request.id;
-      response.status =
-          DeadlineExceeded("request expired before dispatch (queued " +
-                           std::to_string(static_cast<long>(us_between(
-                               pending.request.enqueue_time, dispatch_time))) +
-                           " us)");
-      response.latency_us =
-          us_between(pending.request.enqueue_time, dispatch_time);
-      if (tracing && pending.request.span_id != 0) {
-        const std::uint64_t trace_id = pending.request.trace.trace_id;
-        const double t_enq = tracer->wall_us(pending.request.enqueue_time);
-        const double t_disp = tracer->wall_us(dispatch_time);
-        tracer->span(obs::TimeDomain::kWall, trace_id, tracer->next_id(),
-                     pending.request.span_id, t_enq, t_disp, obs::kAutoTrack,
-                     "queue", "serve");
-        tracer->instant(obs::TimeDomain::kWall, trace_id, t_disp,
-                        obs::kAutoTrack, "expired", "serve");
-        tracer->span(obs::TimeDomain::kWall, trace_id,
-                     pending.request.span_id,
-                     pending.request.trace.parent_span, t_enq, t_disp,
-                     obs::kAutoTrack, "request", "serve",
-                     {{"outcome", "expired"}});
-      }
-      if (pending.on_done) pending.on_done(response);
-      finished_requests_.fetch_add(1, std::memory_order_acq_rel);
+    if (dispatch_time <= pending.request.deadline) {
+      live.push_back(std::move(pending));
       continue;
     }
-    live.push_back(std::move(pending));
+    const std::string queued = std::to_string(static_cast<long>(
+        us_between(pending.request.enqueue_time, dispatch_time)));
+    reply(pending,
+          {.status = DeadlineExceeded(
+               "request expired before dispatch (queued " + queued + " us)")},
+          Outcome::kExpired, dispatch_time, dispatch_time);
   }
   batch.requests = std::move(live);
   if (batch.requests.empty()) return;
@@ -317,30 +306,9 @@ void Server::execute_batch(Batch batch) {
     // after the cooldown lets a probe through).
     const Clock::time_point now = Clock::now();
     for (const PendingRequest& pending : batch.requests) {
-      metrics_.record_unavailable();
-      Response response;
-      response.id = pending.request.id;
-      response.status = selection.status();
-      response.latency_us = us_between(pending.request.enqueue_time, now);
-      response.batch_size = batch.size();
-      if (tracing && pending.request.span_id != 0) {
-        const std::uint64_t trace_id = pending.request.trace.trace_id;
-        const double t_enq = tracer->wall_us(pending.request.enqueue_time);
-        const double t_now = tracer->wall_us(now);
-        tracer->span(obs::TimeDomain::kWall, trace_id, tracer->next_id(),
-                     pending.request.span_id, t_enq,
-                     tracer->wall_us(dispatch_time), obs::kAutoTrack, "queue",
-                     "serve");
-        tracer->instant(obs::TimeDomain::kWall, trace_id, t_now,
-                        obs::kAutoTrack, "unavailable", "serve");
-        tracer->span(obs::TimeDomain::kWall, trace_id,
-                     pending.request.span_id,
-                     pending.request.trace.parent_span, t_enq, t_now,
-                     obs::kAutoTrack, "request", "serve",
-                     {{"outcome", "unavailable"}});
-      }
-      if (pending.on_done) pending.on_done(response);
-      finished_requests_.fetch_add(1, std::memory_order_acq_rel);
+      reply(pending,
+            {.status = selection.status(), .batch_size = batch.size()},
+            Outcome::kUnavailable, dispatch_time, now);
     }
     return;
   }
@@ -356,7 +324,8 @@ void Server::execute_batch(Batch batch) {
     handler_status = options_.fault_injector(batch, selection->variant);
     fault_injected = !handler_status.ok();
   }
-  const Clock::time_point exec_start = Clock::now();
+  Execution execution;
+  execution.start = Clock::now();
   if (handler_status.ok()) {
     if (endpoint.variant_handler) {
       handler_status = endpoint.variant_handler(
@@ -365,8 +334,8 @@ void Server::execute_batch(Batch batch) {
       handler_status = endpoint.handler(batch, &values);
     }
   }
-  const Clock::time_point exec_end = Clock::now();
-  const double service_us = us_between(exec_start, exec_end);
+  execution.end = Clock::now();
+  const double service_us = us_between(execution.start, execution.end);
 
   // Data-feature export (the JIT detector's input signal): per-request
   // shape/tenant tuples with each request's share of the batch's handler
@@ -385,15 +354,26 @@ void Server::execute_batch(Batch batch) {
                               std::to_string(batch.size()) + " requests");
   }
   metrics_.record_batch(batch.size(), service_us);
-  if (tracing && fault_injected) {
-    // Injected variant failure: surface it on the timeline next to the
-    // batch it poisoned.
-    tracer->instant(obs::TimeDomain::kWall,
-                    batch.requests.front().request.trace.trace_id,
-                    tracer->wall_us(exec_start), obs::kAutoTrack,
-                    "fault-injected", "resilience",
-                    {{"kernel", batch.kernel},
-                     {"variant", variant_id}});
+  if (tracer != nullptr && tracer->enabled()) {
+    if (fault_injected) {
+      // Injected variant failure: surface it on the timeline next to the
+      // batch it poisoned.
+      tracer->instant(obs::TimeDomain::kWall,
+                      batch.requests.front().request.trace.trace_id,
+                      tracer->wall_us(execution.start), obs::kAutoTrack,
+                      "fault-injected", "resilience",
+                      {{"kernel", batch.kernel}, {"variant", variant_id}});
+    }
+    execution.annotations = {{"variant", variant_id},
+                             {"batch_size", std::to_string(batch.size())}};
+    if (selection.ok()) {
+      // The autotuner's decision, attached where it took effect.
+      execution.annotations.emplace_back(
+          "predicted_latency_us",
+          std::to_string(selection->predicted_latency_us));
+      execution.annotations.emplace_back(
+          "constraints_met", selection->constraints_met ? "1" : "0");
+    }
   }
 
   bool batch_degraded = false;
@@ -414,76 +394,93 @@ void Server::execute_batch(Batch batch) {
                    selection->predicted_energy_uj);
   }
 
+  const Outcome outcome = !handler_status.ok() ? Outcome::kFailed
+                          : batch_degraded     ? Outcome::kDegraded
+                                               : Outcome::kOk;
   const Clock::time_point done = Clock::now();
+  Response response{.status = handler_status,
+                    .service_us = service_us,
+                    .batch_size = batch.size(),
+                    .variant_id = variant_id,
+                    .degraded = batch_degraded};
   for (std::size_t i = 0; i < batch.requests.size(); ++i) {
-    const PendingRequest& pending = batch.requests[i];
-    Response response;
-    response.id = pending.request.id;
-    response.status = handler_status;
     response.value = handler_status.ok() ? values[i] : 0.0;
-    response.latency_us = us_between(pending.request.enqueue_time, done);
-    response.service_us = service_us;
-    response.batch_size = batch.size();
-    response.variant_id = variant_id;
-    response.degraded = batch_degraded;
-    if (handler_status.ok()) {
-      metrics_.record_completion(pending.request.sla, response.latency_us);
-      if (batch_degraded) metrics_.record_degraded();
-    } else {
-      metrics_.record_failed();
-    }
-    if (tracing && pending.request.span_id != 0) {
-      const std::uint64_t trace_id = pending.request.trace.trace_id;
-      const std::uint64_t root = pending.request.span_id;
-      const double t_enq = tracer->wall_us(pending.request.enqueue_time);
-      const double t_disp = tracer->wall_us(dispatch_time);
-      const double t_exec0 = tracer->wall_us(exec_start);
-      const double t_exec1 = tracer->wall_us(exec_end);
-      const double t_done = tracer->wall_us(done);
-      tracer->span(obs::TimeDomain::kWall, trace_id, tracer->next_id(), root,
-                   t_enq, t_disp, obs::kAutoTrack, "queue", "serve");
-      // Batch formation + input staging + variant selection window.
-      tracer->span(obs::TimeDomain::kWall, trace_id, tracer->next_id(), root,
-                   t_disp, t_exec0, obs::kAutoTrack, "batch", "serve",
-                   {{"batch_size", std::to_string(batch.size())}});
-      obs::Annotations exec_ann = {
-          {"variant", variant_id},
-          {"batch_size", std::to_string(batch.size())}};
-      if (selection.ok()) {
-        // The autotuner's decision, attached where it took effect.
-        exec_ann.emplace_back(
-            "predicted_latency_us",
-            std::to_string(selection->predicted_latency_us));
-        exec_ann.emplace_back("constraints_met",
-                              selection->constraints_met ? "1" : "0");
-      }
-      tracer->span(obs::TimeDomain::kWall, trace_id, tracer->next_id(), root,
-                   t_exec0, t_exec1, obs::kAutoTrack, "execute", "serve",
-                   std::move(exec_ann));
-      tracer->span(obs::TimeDomain::kWall, trace_id, tracer->next_id(), root,
-                   t_exec1, t_done, obs::kAutoTrack, "reply", "serve");
-      tracer->span(
-          obs::TimeDomain::kWall, trace_id, root,
-          pending.request.trace.parent_span, t_enq, t_done,
-          obs::kAutoTrack, "request", "serve",
-          {{"outcome", handler_status.ok()
-                           ? (batch_degraded ? "degraded" : "ok")
-                           : "failed"},
-           {"sla", pending.request.sla == SlaClass::kLatencyCritical
-                       ? "lc"
-                       : "tp"}});
-    }
-    if (pending.on_done) pending.on_done(response);
-    finished_requests_.fetch_add(1, std::memory_order_acq_rel);
+    reply(batch.requests[i], response, outcome, dispatch_time, done,
+          &execution);
   }
 }
 
-void Server::drain() {
-  if (!running_.load()) return;
-  while (finished_requests_.load(std::memory_order_acquire) <
-         admitted_requests_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+void Server::reply(const PendingRequest& pending, Response response,
+                   Outcome outcome, Clock::time_point dispatch_time,
+                   Clock::time_point end, const Execution* execution) {
+  const Request& request = pending.request;
+  response.id = request.id;
+  response.latency_us = us_between(request.enqueue_time, end);
+  switch (outcome) {
+    case Outcome::kDegraded: metrics_.record_degraded(); [[fallthrough]];
+    case Outcome::kOk:
+      metrics_.record_completion(request.sla, response.latency_us);
+      break;
+    case Outcome::kFailed: metrics_.record_failed(); break;
+    case Outcome::kExpired: metrics_.record_expired(); break;
+    case Outcome::kUnavailable: metrics_.record_unavailable(); break;
   }
+  const char* outcome_name = kOutcomeNames[static_cast<int>(outcome)];
+
+  obs::Tracer* tracer = options_.tracer;
+  if (tracer != nullptr && tracer->enabled() && request.span_id != 0) {
+    const std::uint64_t trace_id = request.trace.trace_id;
+    const std::uint64_t root = request.span_id;
+    const double t_enq = tracer->wall_us(request.enqueue_time);
+    const double t_disp = tracer->wall_us(dispatch_time);
+    const double t_end = tracer->wall_us(end);
+    tracer->span(obs::TimeDomain::kWall, trace_id, tracer->next_id(), root,
+                 t_enq, t_disp, obs::kAutoTrack, "queue", "serve");
+    if (execution != nullptr) {
+      const double t_exec0 = tracer->wall_us(execution->start);
+      const double t_exec1 = tracer->wall_us(execution->end);
+      // Batch formation + input staging + variant selection window.
+      tracer->span(obs::TimeDomain::kWall, trace_id, tracer->next_id(), root,
+                   t_disp, t_exec0, obs::kAutoTrack, "batch", "serve",
+                   {{"batch_size", std::to_string(response.batch_size)}});
+      tracer->span(obs::TimeDomain::kWall, trace_id, tracer->next_id(), root,
+                   t_exec0, t_exec1, obs::kAutoTrack, "execute", "serve",
+                   execution->annotations);
+      tracer->span(obs::TimeDomain::kWall, trace_id, tracer->next_id(), root,
+                   t_exec1, t_end, obs::kAutoTrack, "reply", "serve");
+    }
+    if (outcome == Outcome::kExpired || outcome == Outcome::kUnavailable) {
+      tracer->instant(obs::TimeDomain::kWall, trace_id, t_end,
+                      obs::kAutoTrack, outcome_name, "serve");
+    }
+    tracer->span(obs::TimeDomain::kWall, trace_id, root,
+                 request.trace.parent_span, t_enq, t_end, obs::kAutoTrack,
+                 "request", "serve",
+                 {{"outcome", outcome_name},
+                  {"sla", request.sla == SlaClass::kLatencyCritical ? "lc"
+                                                                    : "tp"}});
+  }
+
+  if (pending.on_done) pending.on_done(response);
+  {
+    std::lock_guard<std::mutex> lock(progress_mu_);
+    finished_requests_.fetch_add(1, std::memory_order_acq_rel);
+  }
+  progress_cv_.notify_all();
+}
+
+void Server::wait_drained() {
+  // Re-reads admitted on every wake: a submit that passed the running and
+  // draining checks just before a seal may still be incrementing it.
+  std::unique_lock<std::mutex> lock(progress_mu_);
+  progress_cv_.wait(lock, [this] {
+    return finished_requests_.load(std::memory_order_acquire) >=
+           admitted_requests_.load(std::memory_order_acquire);
+  });
+}
+
+void Server::drain() {
+  if (running_.load()) wait_drained();
 }
 
 std::uint64_t Server::drain_gracefully() {
@@ -491,12 +488,7 @@ std::uint64_t Server::drain_gracefully() {
   draining_.store(true, std::memory_order_release);
   const std::uint64_t finished_at_seal =
       finished_requests_.load(std::memory_order_acquire);
-  // Re-read admitted each pass: a submit that passed the draining check
-  // before the seal may still be incrementing it.
-  while (finished_requests_.load(std::memory_order_acquire) <
-         admitted_requests_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
+  wait_drained();
   const std::uint64_t drained =
       finished_requests_.load(std::memory_order_acquire) - finished_at_seal;
   EVEREST_LOG(kInfo, "serve")
@@ -511,13 +503,9 @@ void Server::resume_admission() {
 void Server::stop() {
   if (!running_.exchange(false)) return;
   // Let admitted work finish, then unblock the dispatcher.
-  while (finished_requests_.load(std::memory_order_acquire) <
-         admitted_requests_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
+  wait_drained();
   queue_->close();
   if (dispatcher_.joinable()) dispatcher_.join();
-  pool_->wait_idle();
   pool_->shutdown();
   EVEREST_LOG(kInfo, "serve") << "server stopped";
 }

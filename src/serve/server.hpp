@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -43,9 +44,6 @@ struct ServerOptions {
   runtime::Goal goal;
   /// FPGA slots visible to variant selection (0 = software only).
   int fpgas_available = 1;
-  /// Drop requests whose deadline already passed when their batch is
-  /// dispatched (they would deliver a useless late answer).
-  bool drop_expired = true;
 
   // ---- graceful degradation ----
   /// Per-(kernel, variant) circuit breakers: batch failures trip the
@@ -198,8 +196,24 @@ class Server {
   [[nodiscard]] double input_cache_resident_bytes() const;
 
  private:
+  /// How a request ended (order matches kOutcomeNames in server.cpp).
+  enum class Outcome { kOk, kDegraded, kFailed, kExpired, kUnavailable };
+  /// An executed batch's handler window and "execute" span annotations.
+  struct Execution {
+    Clock::time_point start, end;
+    obs::Annotations annotations;
+  };
+
   void dispatch_loop();
   void execute_batch(Batch batch);
+  /// The one reply path: records the outcome metric, emits the request's
+  /// span chain (batch/execute/reply only with an `execution`), fires
+  /// on_done, and counts the request finished, waking waiters.
+  void reply(const PendingRequest& pending, Response response,
+             Outcome outcome, Clock::time_point dispatch_time,
+             Clock::time_point end, const Execution* execution = nullptr);
+  /// Blocks until every admitted request has had its response delivered.
+  void wait_drained();
   /// Stages the batch's distinct data_keys through the input cache;
   /// returns the modelled stall (µs) the misses cost.
   double stage_batch_inputs(const Batch& batch);
@@ -236,6 +250,12 @@ class Server {
   /// miss requests held inside a forming batch).
   std::atomic<std::uint64_t> admitted_requests_{0};
   std::atomic<std::uint64_t> finished_requests_{0};
+  /// Signalled when a batch or a request finishes; the in-flight cap and
+  /// the drain wait block on it. inflight_batches_ falls and
+  /// finished_requests_ rises only under it, so no wake-up is lost; the
+  /// counters' other moves only make a waiter's predicate false.
+  std::mutex progress_mu_;
+  std::condition_variable progress_cv_;
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
 };

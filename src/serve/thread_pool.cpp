@@ -45,11 +45,6 @@ std::size_t ThreadPool::pending() const {
   return tasks_.size();
 }
 
-std::size_t ThreadPool::active() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return active_;
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;

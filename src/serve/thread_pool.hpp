@@ -38,8 +38,6 @@ class ThreadPool {
   [[nodiscard]] std::size_t thread_count() const { return threads_.size(); }
   /// Tasks queued but not yet started (for metrics/backpressure signals).
   [[nodiscard]] std::size_t pending() const;
-  /// Tasks currently executing.
-  [[nodiscard]] std::size_t active() const;
 
  private:
   void worker_loop();

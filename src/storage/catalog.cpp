@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/hash.hpp"
+
 namespace everest::storage {
 
 namespace {
@@ -177,13 +179,7 @@ Result<Catalog> Catalog::decode(std::string_view data) {
 }
 
 std::uint64_t Catalog::fingerprint() const {
-  const std::string bytes = encode();
-  std::uint64_t h = 14695981039346656037ULL;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
+  return fnv1a(encode());
 }
 
 std::string Catalog::to_string() const {

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/hash.hpp"
 #include "storage/format.hpp"
 
 namespace everest::stream {
@@ -41,12 +42,7 @@ std::uint64_t fingerprint(const std::vector<WindowOutput>& outputs) {
   std::string bytes;
   bytes.reserve(outputs.size() * 64);
   for (const WindowOutput& output : outputs) output.encode(bytes);
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return fnv1a(bytes);
 }
 
 }  // namespace everest::stream

@@ -80,7 +80,7 @@ Status Ingestor::offer(Event event) {
 }
 
 std::optional<Event> Ingestor::take(std::chrono::microseconds timeout) {
-  return queue_.pop(timeout);
+  return queue_.pop(serve::Clock::now() + timeout);
 }
 
 void Ingestor::close() {

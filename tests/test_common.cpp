@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/graph.hpp"
+#include "common/hash.hpp"
 #include "common/json.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -450,10 +451,65 @@ TEST(Json, PrettyPrintStable) {
   EXPECT_EQ(round->at("k").as_array().size(), 2u);
 }
 
+/// `depth` nested arrays around 0, or `depth` nested {"a": ...} objects.
+std::string nested(int depth, bool objects) {
+  std::string text;
+  for (int i = 0; i < depth; ++i) text += objects ? "{\"a\":" : "[";
+  text += "0";
+  text.append(static_cast<std::size_t>(depth), objects ? '}' : ']');
+  return text;
+}
+
+TEST(Json, NestingDepthIsBounded) {
+  // Hostile input: a million open brackets must fail cleanly, not
+  // overflow the stack.
+  const auto arrays = json::parse(std::string(1000000, '['));
+  ASSERT_FALSE(arrays.ok());
+  EXPECT_EQ(arrays.status().code(), StatusCode::kInvalidArgument);
+  std::string objects;
+  for (int i = 0; i < 1000000; ++i) objects += "{\"a\":";
+  const auto objs = json::parse(objects);
+  ASSERT_FALSE(objs.ok());
+  EXPECT_EQ(objs.status().code(), StatusCode::kInvalidArgument);
+
+  for (const bool use_objects : {false, true}) {
+    // Exactly at the limit still parses; one level more does not.
+    auto at_limit = json::parse(nested(json::kMaxParseDepth, use_objects));
+    ASSERT_TRUE(at_limit.ok()) << at_limit.status().to_string();
+    const json::Value* inner = &at_limit.value();
+    for (int i = 0; i < json::kMaxParseDepth; ++i) {
+      inner = use_objects ? &inner->at("a") : &inner->as_array()[0];
+    }
+    EXPECT_EQ(inner->as_number(), 0.0);
+    const auto over =
+        json::parse(nested(json::kMaxParseDepth + 1, use_objects));
+    ASSERT_FALSE(over.ok());
+    EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(Json, UnicodeEscapeDecodesToUtf8) {
   auto v = json::parse(R"("é")");
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->as_string(), "\xc3\xa9");
+}
+
+// ------------------------------------------------------------------ Hash --
+
+TEST(Fnv1a, StandardVectors) {
+  EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ULL);
+  // Folding continues from a running hash.
+  EXPECT_EQ(fnv1a("bar", fnv1a("foo")), fnv1a("foobar"));
+  static_assert(fnv1a("") == kFnv1aOffset);
+}
+
+TEST(Fnv1a, WordFoldsLittleEndianBytes) {
+  const std::string bytes("\x01\x02\x03\x04\x05\x06\x07\x08", 8);
+  EXPECT_EQ(fnv1a_word(0x0807060504030201ULL), fnv1a(bytes));
+  EXPECT_EQ(fnv1a_word(7, fnv1a("x")), fnv1a(std::string("x\x07", 2) +
+                                             std::string(7, '\0')));
 }
 
 // --------------------------------------------------------------- Strings --

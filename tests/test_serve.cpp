@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -63,7 +64,8 @@ TEST(RequestQueue, AdmitsUpToCapacityThenRejects) {
   }
   EXPECT_EQ(queue.size(), 4u);
   // Popping one frees one admission slot.
-  EXPECT_TRUE(queue.pop(std::chrono::microseconds(1000)).has_value());
+  EXPECT_TRUE(
+      queue.pop(Clock::now() + std::chrono::microseconds(1000)).has_value());
   EXPECT_TRUE(queue.push(make_pending("k", SlaClass::kThroughput)).ok());
 }
 
@@ -73,10 +75,10 @@ TEST(RequestQueue, LatencyCriticalPopsFirst) {
   ASSERT_TRUE(queue.push(make_pending("k", SlaClass::kThroughput, 2)).ok());
   ASSERT_TRUE(
       queue.push(make_pending("k", SlaClass::kLatencyCritical, 3)).ok());
-  auto first = queue.pop(std::chrono::microseconds(1000));
+  auto first = queue.pop(Clock::now() + std::chrono::microseconds(1000));
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->request.id, 3u);  // LC lane jumps the TP backlog
-  auto second = queue.pop(std::chrono::microseconds(1000));
+  auto second = queue.pop(Clock::now() + std::chrono::microseconds(1000));
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->request.id, 1u);  // then FIFO within the TP lane
 }
@@ -87,8 +89,10 @@ TEST(RequestQueue, PopCompatibleMatchesKernelAndClass) {
   ASSERT_TRUE(queue.push(make_pending("b", SlaClass::kThroughput, 2)).ok());
   ASSERT_TRUE(
       queue.push(make_pending("b", SlaClass::kLatencyCritical, 3)).ok());
-  EXPECT_FALSE(queue.pop_compatible("c", SlaClass::kThroughput).has_value());
-  auto hit = queue.pop_compatible("b", SlaClass::kThroughput);
+  EXPECT_FALSE(
+      queue.pop_compatible("c", SlaClass::kThroughput, Clock::now())
+          .has_value());
+  auto hit = queue.pop_compatible("b", SlaClass::kThroughput, Clock::now());
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->request.id, 2u);  // not the LC "b" request
   EXPECT_EQ(queue.size(), 2u);
@@ -99,7 +103,26 @@ TEST(RequestQueue, CloseRejectsProducersAndUnblocksConsumers) {
   queue.close();
   EXPECT_EQ(queue.push(make_pending("k", SlaClass::kThroughput)).code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(queue.pop(std::chrono::microseconds(100)).has_value());
+  EXPECT_FALSE(
+      queue.pop(Clock::now() + std::chrono::microseconds(100)).has_value());
+}
+
+TEST(RequestQueue, CloseWakesBlockedPopCompatible) {
+  RequestQueue queue(4);
+  std::thread closer([&queue] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    queue.close();
+  });
+  // Only an incompatible request arrives; the wait ends on close(), long
+  // before its deadline.
+  ASSERT_TRUE(queue.push(make_pending("other", SlaClass::kThroughput)).ok());
+  const auto start = Clock::now();
+  EXPECT_FALSE(queue
+                   .pop_compatible("k", SlaClass::kThroughput,
+                                   start + std::chrono::seconds(30))
+                   .has_value());
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(10));
+  closer.join();
 }
 
 // -------------------------------------------------------------- batcher
@@ -179,6 +202,30 @@ TEST(Batcher, LatencyCriticalCapIsSmaller) {
   ASSERT_TRUE(batcher.next_batch(&batch));
   EXPECT_EQ(batch.sla, SlaClass::kLatencyCritical);
   EXPECT_EQ(batch.size(), 2u);  // capped at lc_max_batch, not max_batch
+}
+
+TEST(Batcher, ArrivalDuringFillWaitJoinsAndFullBatchReturnsEarly) {
+  RequestQueue queue(32);
+  BatchPolicy policy;
+  policy.max_batch = 2;
+  policy.max_wait = std::chrono::milliseconds(200);
+  Batcher batcher(&queue, policy);
+  ASSERT_TRUE(queue.push(make_pending("k", SlaClass::kThroughput, 1)).ok());
+  std::thread producer([&queue] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_TRUE(queue.push(make_pending("k", SlaClass::kThroughput, 2)).ok());
+  });
+  Batch batch;
+  const auto start = Clock::now();
+  ASSERT_TRUE(batcher.next_batch(&batch));
+  const auto waited = Clock::now() - start;
+  producer.join();
+  // The late arrival joined the open batch, and filling it flushed the
+  // batch on the spot instead of at max_wait.
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch.requests[0].request.id, 1u);
+  EXPECT_EQ(batch.requests[1].request.id, 2u);
+  EXPECT_LT(waited, std::chrono::milliseconds(150));
 }
 
 // ---------------------------------------------------------- thread pool
@@ -614,6 +661,226 @@ TEST(Server, DegradedModeShedsThroughputClassAtAdmission) {
   server.drain();
   server.stop();
   EXPECT_GE(server.metrics().snapshot().unavailable, 2u);
+}
+
+TEST(Server, BackpressureCapsInFlightBatchesAtTwoPerWorker) {
+  runtime::KnowledgeBase kb;
+  ServerOptions options;
+  options.worker_threads = 1;
+  options.batch.max_batch = 1;
+  Server server(options, &kb);
+  std::latch gate(1);
+  Endpoint endpoint = test_endpoint();
+  endpoint.handler = [&gate, inner = endpoint.handler](
+                         const Batch& batch, std::vector<double>* values) {
+    gate.wait();
+    return inner(batch, values);
+  };
+  ASSERT_TRUE(server.register_endpoint(endpoint).ok());
+  ASSERT_TRUE(server.start().ok());
+
+  std::mutex mu;
+  std::multiset<std::uint64_t> replied;
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    Request request;
+    request.kernel = "test_kernel";
+    request.seed = i;
+    ASSERT_TRUE(server
+                    .submit(request,
+                            [&](const Response& response) {
+                              std::lock_guard<std::mutex> lock(mu);
+                              replied.insert(response.id);
+                            })
+                    .ok());
+  }
+  // One batch blocks the only worker and one waits in the pool; the
+  // dispatcher holds off, so the other 8 stay in the admission queue.
+  const auto until = Clock::now() + std::chrono::seconds(10);
+  while (server.queue_depth() != 8 && Clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server.queue_depth(), 8u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(server.queue_depth(), 8u);  // settled: no third batch left
+
+  gate.count_down();
+  server.drain();
+  server.stop();
+  EXPECT_EQ(replied.size(), 10u);
+  EXPECT_EQ(std::set<std::uint64_t>(replied.begin(), replied.end()).size(),
+            10u);  // every request answered exactly once
+  EXPECT_EQ(server.metrics().snapshot().completed, 10u);
+}
+
+// ------------------------------------------------------ span chains
+
+std::string annotation(const obs::TraceEvent& event, const std::string& key) {
+  for (const auto& [k, v] : event.annotations) {
+    if (k == key) return v;
+  }
+  return "";
+}
+
+/// Checks that `trace_id` holds exactly one request's chain: a "request"
+/// root under `parent` annotated outcome=`outcome`, child spans named
+/// `children` (any order) each parented to the root and inside its
+/// interval, and instants named `instants`. Returns the root.
+obs::TraceEvent expect_chain(const obs::Tracer& tracer, std::uint64_t trace_id,
+                             std::uint64_t parent,
+                             std::multiset<std::string> children,
+                             std::multiset<std::string> instants,
+                             const std::string& outcome) {
+  std::vector<obs::TraceEvent> spans;
+  std::multiset<std::string> instant_names;
+  std::vector<double> instant_times;
+  for (const obs::TraceEvent& event : tracer.collect()) {
+    if (event.trace_id != trace_id) continue;
+    if (event.kind == obs::TraceEvent::Kind::kInstant) {
+      instant_names.insert(event.name);
+      instant_times.push_back(event.start_us);
+    } else {
+      spans.push_back(event);
+    }
+  }
+  obs::TraceEvent root;
+  std::size_t roots = 0;
+  for (const obs::TraceEvent& span : spans) {
+    if (span.name == "request") {
+      root = span;
+      ++roots;
+    }
+  }
+  EXPECT_EQ(roots, 1u);
+  EXPECT_EQ(root.parent_id, parent);
+  EXPECT_EQ(root.component, "serve");
+  EXPECT_EQ(annotation(root, "outcome"), outcome);
+  std::multiset<std::string> child_names;
+  for (const obs::TraceEvent& span : spans) {
+    if (span.name == "request") continue;
+    child_names.insert(span.name);
+    EXPECT_EQ(span.parent_id, root.span_id) << span.name;
+    EXPECT_GE(span.start_us, root.start_us) << span.name;
+    EXPECT_LE(span.end_us, root.end_us) << span.name;
+  }
+  EXPECT_EQ(child_names, children);
+  EXPECT_EQ(instant_names, instants);
+  for (double at : instant_times) {
+    EXPECT_GE(at, root.start_us);
+    EXPECT_LE(at, root.end_us);
+  }
+  return root;
+}
+
+/// Submits one request joining trace `trace` and waits for its reply.
+Status submit_and_drain(Server& server, obs::TraceContext trace,
+                        SlaClass sla, Clock::time_point deadline =
+                                          Clock::time_point::max()) {
+  Request request;
+  request.kernel = "test_kernel";
+  request.sla = sla;
+  request.deadline = deadline;
+  request.trace = trace;
+  Status replied = Internal("no reply");
+  EXPECT_TRUE(server
+                  .submit(request, [&](const Response& response) {
+                    replied = response.status;
+                  })
+                  .ok());
+  server.drain();
+  return replied;
+}
+
+TEST(ServerTrace, OkChainHasQueueBatchExecuteReplyUnderRoot) {
+  obs::TracerConfig tc;
+  tc.enabled = true;
+  obs::Tracer tracer(tc);
+  runtime::KnowledgeBase kb;
+  ServerOptions options;
+  options.worker_threads = 1;
+  options.tracer = &tracer;
+  Server server(options, &kb);
+  ASSERT_TRUE(server.register_endpoint(test_endpoint()).ok());
+  ASSERT_TRUE(server.start().ok());
+  // A propagated context: the root joins the caller's trace and parents
+  // under the caller's span.
+  const obs::TraceContext caller{1'000'000, 999'999};
+  EXPECT_TRUE(
+      submit_and_drain(server, caller, SlaClass::kLatencyCritical).ok());
+  server.stop();
+
+  const obs::TraceEvent root =
+      expect_chain(tracer, caller.trace_id, caller.parent_span,
+                   {"queue", "batch", "execute", "reply"}, {}, "ok");
+  EXPECT_EQ(annotation(root, "sla"), "lc");
+  for (const obs::TraceEvent& event : tracer.collect()) {
+    if (event.name == "execute") {
+      EXPECT_EQ(annotation(event, "variant"), "test_kernel-cpu");
+      EXPECT_EQ(annotation(event, "batch_size"), "1");
+    }
+    if (event.name == "batch") {
+      EXPECT_EQ(annotation(event, "batch_size"), "1");
+    }
+  }
+}
+
+TEST(ServerTrace, ExpiredChainHasQueueSpanAndExpiredInstant) {
+  obs::TracerConfig tc;
+  tc.enabled = true;
+  obs::Tracer tracer(tc);
+  runtime::KnowledgeBase kb;
+  ServerOptions options;
+  options.worker_threads = 1;
+  options.tracer = &tracer;
+  Server server(options, &kb);
+  ASSERT_TRUE(server.register_endpoint(test_endpoint()).ok());
+  ASSERT_TRUE(server.start().ok());
+  const obs::TraceContext caller{2'000'000, 0};
+  EXPECT_EQ(submit_and_drain(server, caller, SlaClass::kThroughput,
+                             Clock::now() - std::chrono::milliseconds(1))
+                .code(),
+            StatusCode::kDeadlineExceeded);
+  server.stop();
+  expect_chain(tracer, caller.trace_id, 0, {"queue"}, {"expired"},
+               "expired");
+}
+
+TEST(ServerTrace, FailedThenUnavailableChainsOnceEveryBreakerTrips) {
+  obs::TracerConfig tc;
+  tc.enabled = true;
+  obs::Tracer tracer(tc);
+  runtime::KnowledgeBase kb;
+  ServerOptions options;
+  options.worker_threads = 1;
+  options.tracer = &tracer;
+  options.breaker.failure_threshold = 1;
+  options.breaker.open_cooldown_us = 1e12;
+  options.fault_injector = [](const Batch&, const compiler::Variant&) {
+    return Unavailable("injected");
+  };
+  Server server(options, &kb);
+  ASSERT_TRUE(server.register_endpoint(test_endpoint()).ok());
+  ASSERT_TRUE(server.start().ok());
+  // The first request runs, fails, and trips the only variant's breaker;
+  // the second finds every variant withheld.
+  const obs::TraceContext failed{3'000'000, 0};
+  const obs::TraceContext unavailable{3'000'001, 0};
+  EXPECT_EQ(submit_and_drain(server, failed, SlaClass::kThroughput).code(),
+            StatusCode::kUnavailable);
+  ASSERT_TRUE(server.degraded());
+  EXPECT_EQ(submit_and_drain(server, unavailable, SlaClass::kLatencyCritical)
+                .code(),
+            StatusCode::kUnavailable);
+  server.stop();
+
+  const obs::TraceEvent root =
+      expect_chain(tracer, failed.trace_id, 0,
+                   {"queue", "batch", "execute", "reply"}, {"fault-injected"},
+                   "failed");
+  EXPECT_EQ(annotation(root, "sla"), "tp");
+  expect_chain(tracer, unavailable.trace_id, 0, {"queue"}, {"unavailable"},
+               "unavailable");
+  EXPECT_EQ(server.metrics().snapshot().unavailable, 1u);
+  EXPECT_EQ(server.metrics().snapshot().failed, 1u);
 }
 
 // ----------------------------------------- real use-case endpoint smoke

@@ -15,7 +15,9 @@
 #   5. an AddressSanitizer build (EVEREST_SANITIZE=address) of the
 #      I/O-error-path-heavy test binaries (storage, data): fault
 #      injection exercises every short-write/EIO/ENOSPC cleanup path,
-#      and ASan proves none of them leaks or double-frees.
+#      and ASan proves none of them leaks or double-frees. test_common
+#      runs here too, so the hostile-JSON (nesting-depth) cases execute
+#      under the sanitizers.
 # Any failure aborts the script with a non-zero exit.
 set -euo pipefail
 
@@ -70,11 +72,12 @@ cmake --build "$ROOT/build-tsan" -j "$JOBS" \
   -R 'test_serve|test_obs|test_data|test_cluster|test_storage|test_stream|test_jit|test_runtime')
 
 echo
-echo "=== [5/5] ASan: storage + data tests (fault-injection leak check) ==="
+echo "=== [5/5] ASan: storage + data + common tests (leak + hostile input) ==="
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DEVEREST_SANITIZE=address >/dev/null
-cmake --build "$ROOT/build-asan" -j "$JOBS" --target test_storage test_data
+cmake --build "$ROOT/build-asan" -j "$JOBS" \
+  --target test_storage test_data test_common
 (cd "$ROOT/build-asan" && ctest --output-on-failure -j "$JOBS" \
-  -R 'test_storage|test_data')
+  -R 'test_storage|test_data|test_common')
 
 echo
 echo "check.sh: all gates passed."
