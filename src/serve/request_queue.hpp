@@ -15,9 +15,11 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/status.hpp"
 #include "serve/request.hpp"
@@ -66,6 +68,37 @@ class TwoLaneQueue {
     return std::nullopt;
   }
 
+  /// Moves every queued item to the back of `out` under one lock:
+  /// priority lane first, FIFO within each lane — the order a run of
+  /// pop() calls with no pushes in between would give. Blocks until an
+  /// item arrives; returns the number moved, which is 0 once `deadline`
+  /// passes, the queue is closed and drained, or wake() ended the wait.
+  std::size_t pop_all(Clock::time_point deadline, std::vector<T>* out) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait_until(lock, deadline, [this] {
+      return closed_ || woken_ || total_locked() > 0;
+    });
+    woken_ = false;
+    const std::size_t n = total_locked();
+    for (auto& lane : lanes_) {
+      out->insert(out->end(), std::make_move_iterator(lane.begin()),
+                  std::make_move_iterator(lane.end()));
+      lane.clear();
+    }
+    return n;
+  }
+
+  /// Ends the blocked pop_all() — or the next one to block — once,
+  /// without closing the queue: a consumer's stop path uses it to end a
+  /// wait that no push may end. Admission is unaffected.
+  void wake() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      woken_ = true;
+    }
+    cv_.notify_all();
+  }
+
   /// Items currently queued (both lanes).
   [[nodiscard]] std::size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -97,6 +130,7 @@ class TwoLaneQueue {
   std::condition_variable cv_;
   std::deque<T> lanes_[2];
   bool closed_ = false;
+  bool woken_ = false;  ///< a wake() no pop_all() has consumed yet
 };
 
 /// A request plus its completion callback, as held inside the server.

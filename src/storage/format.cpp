@@ -20,6 +20,15 @@ std::array<std::uint32_t, 256> make_crc_table() {
   return table;
 }
 
+/// Stores `v` little-endian at `p`; returns the byte past it.
+template <typename U>
+char* store_le(char* p, U v) {
+  for (std::size_t i = 0; i < sizeof(U); ++i) {
+    p[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+  }
+  return p + sizeof(U);
+}
+
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
@@ -134,19 +143,24 @@ std::string LogRecord::to_string() const {
 }
 
 void encode_record(const LogRecord& record, std::string& out) {
-  std::string payload;
-  payload.reserve(kRecordPayloadBytes);
-  put_u8(payload, static_cast<std::uint8_t>(record.type));
-  put_u64(payload, record.seq);
-  put_u64(payload, record.object);
-  put_u32(payload, record.shard);
-  put_u64(payload, record.version);
-  put_u64(payload, record.node);
-  put_f64(payload, record.bytes);
-
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, crc32(payload));
-  out += payload;
+  // The frame is written in place: grow `out` once, store the payload
+  // fields straight into it, then the header, whose CRC covers the
+  // payload bytes already in `out`.
+  const std::size_t at = out.size();
+  out.resize(at + kRecordFrameBytes);
+  char* const frame = out.data() + at;
+  char* p = frame + 8;
+  *p++ = static_cast<char>(record.type);
+  p = store_le(p, record.seq);
+  p = store_le(p, record.object);
+  p = store_le(p, record.shard);
+  p = store_le(p, record.version);
+  p = store_le(p, record.node);
+  std::uint64_t bits;
+  std::memcpy(&bits, &record.bytes, sizeof(bits));
+  store_le(p, bits);
+  store_le(frame, static_cast<std::uint32_t>(kRecordPayloadBytes));
+  store_le(frame + 4, crc32(frame + 8, kRecordPayloadBytes));
 }
 
 DecodeStatus decode_record(ByteReader& reader, LogRecord* out) {

@@ -31,7 +31,7 @@ Status StreamEngine::add_operator(std::unique_ptr<Operator> op) {
   if (std::find(topics_.begin(), topics_.end(), topic) == topics_.end()) {
     topics_.push_back(topic);
   }
-  by_topic_[topic].push_back(operators_.size());
+  by_topic_[topic].operators.push_back(operators_.size());
   operators_.push_back(std::move(op));
   return OkStatus();
 }
@@ -115,7 +115,7 @@ void StreamEngine::start() {
 void StreamEngine::stop() {
   if (running_.load()) {
     flush();
-    stop_requested_.store(true);
+    request_stop();
     if (pump_thread_.joinable()) pump_thread_.join();
     running_.store(false);
   }
@@ -125,48 +125,93 @@ void StreamEngine::stop() {
 
 void StreamEngine::kill() {
   if (!running_.load()) return;
-  stop_requested_.store(true);
+  request_stop();
   if (pump_thread_.joinable()) pump_thread_.join();
   running_.store(false);
 }
 
+void StreamEngine::request_stop() {
+  {
+    // Set under the lock so a flush() between its predicate check and
+    // its wait cannot miss the wake-up.
+    std::lock_guard<std::mutex> lock(progress_mu_);
+    stop_requested_.store(true);
+  }
+  progress_cv_.notify_all();
+  // Not close(): admission stays open, as after a fail-stop the
+  // producers still see an accepting queue.
+  ingestor_.wake();
+}
+
 void StreamEngine::flush() {
   if (!running_.load()) return;
-  // Wait until the pump consumed every event admitted so far. The
-  // acquire load on consumed_ pairs with the pump's post-process
-  // release increment, so operator/frontier state read afterwards is
-  // the folded state.
+  // Wait until the pump published every event admitted so far (the
+  // mutex hand-off makes the folded operator state visible here), or
+  // until stop/kill ends the pump for good.
   const std::uint64_t target = ingestor_.stats().admitted;
-  while (consumed_.load(std::memory_order_acquire) < target) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  {
+    std::unique_lock<std::mutex> lock(progress_mu_);
+    progress_cv_.wait(lock, [&] {
+      return consumed_ >= target || stop_requested_.load();
+    });
   }
   ingestor_.sync_wal();
 }
 
 void StreamEngine::pump() {
+  std::vector<Event> batch;
   while (!stop_requested_.load()) {
-    std::optional<Event> event = ingestor_.take(config_.idle_poll);
-    if (!event.has_value()) continue;
-    process(*event);
-    consumed_.fetch_add(1, std::memory_order_release);
+    batch.clear();
+    ingestor_.take_all(&batch);
+    EngineStats delta;
+    std::uint64_t consumed = 0;
+    for (const Event& event : batch) {
+      // kill() stays prompt: the rest of the batch is dropped (the WAL
+      // has it), exactly like events still queued.
+      if (stop_requested_.load(std::memory_order_relaxed)) break;
+      process(event, &delta);
+      ++consumed;
+    }
+    publish(delta, consumed);
   }
 }
 
-void StreamEngine::process(const Event& event) {
+void StreamEngine::publish(const EngineStats& delta, std::uint64_t consumed) {
+  {
+    std::lock_guard<std::mutex> lock(progress_mu_);
+    consumed_ += consumed;
+    stats_.events_processed += delta.events_processed;
+    stats_.outputs_emitted += delta.outputs_emitted;
+    stats_.deliveries += delta.deliveries;
+  }
+  progress_cv_.notify_all();
+  // Registry instruments are small heap cells that can share a cache line
+  // with the producer's counters; written per event, that line would
+  // bounce between the two threads, so the pump writes them per batch.
+  if (gauge_watermark_lag_ != nullptr) {
+    gauge_watermark_lag_->set(static_cast<double>(watermark_lag_us_));
+  }
+  if (ctr_events_ != nullptr && delta.events_processed > 0) {
+    ctr_events_->inc(delta.events_processed);
+  }
+  if (ctr_outputs_ != nullptr && delta.outputs_emitted > 0) {
+    ctr_outputs_->inc(delta.outputs_emitted);
+  }
+}
+
+void StreamEngine::process(const Event& event, EngineStats* delta) {
   auto it = by_topic_.find(event.topic);
   if (it == by_topic_.end()) return;  // replayed topic nobody consumes now
 
-  std::uint64_t frontier;
-  {
-    std::lock_guard<std::mutex> lock(frontier_mu_);
-    std::uint64_t& f = frontiers_[event.topic];
-    f = std::max(f, event.event_time_us);
-    frontier = f;
-  }
+  // Pump-only writer: a relaxed read-max-store is race-free.
+  std::atomic<std::uint64_t>& f = it->second.frontier;
+  const std::uint64_t frontier =
+      std::max(f.load(std::memory_order_relaxed), event.event_time_us);
+  f.store(frontier, std::memory_order_relaxed);
 
   std::vector<WindowOutput> outputs;
   std::uint64_t min_watermark = frontier;
-  for (const std::size_t idx : it->second) {
+  for (const std::size_t idx : it->second.operators) {
     Operator& op = *operators_[idx];
     if (!event.punctuation) op.offer(event);
     const std::uint64_t lateness = op.allowed_lateness_us();
@@ -176,23 +221,15 @@ void StreamEngine::process(const Event& event) {
     min_watermark = std::min(min_watermark, op.watermark_us());
   }
 
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    if (!event.punctuation) ++stats_.events_processed;
-    stats_.outputs_emitted += outputs.size();
-  }
-  if (ctr_events_ != nullptr && !event.punctuation) ctr_events_->inc();
-  if (ctr_outputs_ != nullptr && !outputs.empty()) {
-    ctr_outputs_->inc(outputs.size());
-  }
-  if (gauge_watermark_lag_ != nullptr) {
-    gauge_watermark_lag_->set(static_cast<double>(frontier - min_watermark));
-  }
-  if (!outputs.empty()) deliver(event.topic, frontier, outputs);
+  if (!event.punctuation) ++delta->events_processed;
+  delta->outputs_emitted += outputs.size();
+  watermark_lag_us_ = frontier - min_watermark;
+  if (!outputs.empty()) deliver(event.topic, frontier, outputs, delta);
 }
 
 void StreamEngine::deliver(const std::string& topic, std::uint64_t frontier,
-                           std::vector<WindowOutput>& outputs) {
+                           std::vector<WindowOutput>& outputs,
+                           EngineStats* delta) {
   std::vector<std::shared_ptr<StreamSession>> targets;
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
@@ -232,8 +269,7 @@ void StreamEngine::deliver(const std::string& topic, std::uint64_t frontier,
                   {"outputs", std::to_string(outputs.size())},
                   {"sessions", std::to_string(targets.size())}});
   }
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_.deliveries += delivered;
+  delta->deliveries += delivered;
 }
 
 Result<std::uint64_t> StreamEngine::replay_wal(std::uint64_t acked_horizon_us) {
@@ -246,14 +282,15 @@ Result<std::uint64_t> StreamEngine::replay_wal(std::uint64_t acked_horizon_us) {
   // Per-topic max window span: an event older than horizon − span can
   // only fall into windows that closed at or before the horizon.
   std::map<std::string, std::uint64_t> span;
-  for (const auto& [topic, indices] : by_topic_) {
+  for (const auto& [topic, state] : by_topic_) {
     std::uint64_t s = 0;
-    for (const std::size_t idx : indices) {
+    for (const std::size_t idx : state.operators) {
       s = std::max(s, operators_[idx]->max_window_span_us());
     }
     span[topic] = s;
   }
   std::uint64_t folded = 0;
+  EngineStats delta;
   Ingestor::replay(
       config_.ingest.wal_dir, topics(),
       [&](const Event& event) {
@@ -262,40 +299,40 @@ Result<std::uint64_t> StreamEngine::replay_wal(std::uint64_t acked_horizon_us) {
           const std::uint64_t s = it == span.end() ? 0 : it->second;
           if (event.event_time_us + s <= acked_horizon_us) return;
         }
-        process(event);
+        process(event, &delta);
         ++folded;
       },
       env_);
+  publish(delta, 0);  // replayed events were never admitted here
   return folded;
 }
 
 void StreamEngine::reset_topic(const std::string& topic) {
   auto it = by_topic_.find(topic);
-  if (it != by_topic_.end()) {
-    for (const std::size_t idx : it->second) operators_[idx]->reset();
-  }
-  std::lock_guard<std::mutex> lock(frontier_mu_);
-  frontiers_[topic] = 0;
+  if (it == by_topic_.end()) return;
+  for (const std::size_t idx : it->second.operators) operators_[idx]->reset();
+  it->second.frontier.store(0, std::memory_order_relaxed);
 }
 
 EngineStats StreamEngine::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
+  std::lock_guard<std::mutex> lock(progress_mu_);
   return stats_;
 }
 
 std::vector<std::string> StreamEngine::topics() const { return topics_; }
 
 std::uint64_t StreamEngine::frontier_us(const std::string& topic) const {
-  std::lock_guard<std::mutex> lock(frontier_mu_);
-  auto it = frontiers_.find(topic);
-  return it == frontiers_.end() ? 0 : it->second;
+  auto it = by_topic_.find(topic);
+  return it == by_topic_.end()
+             ? 0
+             : it->second.frontier.load(std::memory_order_relaxed);
 }
 
 std::uint64_t StreamEngine::watermark_us(const std::string& topic) const {
   auto it = by_topic_.find(topic);
-  if (it == by_topic_.end() || it->second.empty()) return 0;
+  if (it == by_topic_.end() || it->second.operators.empty()) return 0;
   std::uint64_t wm = UINT64_MAX;
-  for (const std::size_t idx : it->second) {
+  for (const std::size_t idx : it->second.operators) {
     wm = std::min(wm, operators_[idx]->watermark_us());
   }
   return wm;

@@ -2,18 +2,23 @@
 // admission + WAL), the windowed operators, and the subscriber sessions
 // into a single pump loop.
 //
-//   producers ──offer──▶ Ingestor ──take──▶ pump ──▶ Operator::offer
-//                                            │            │ advance
-//                                            ▼            ▼
-//                                     topic frontier   WindowOutputs
-//                                            │            │
-//                                            └─staleness──▶ sessions
+//   producers ──offer──▶ Ingestor ──take_all──▶ pump ──▶ Operator::offer
+//                                                │            │ advance
+//                                                ▼            ▼
+//                                         topic frontier   WindowOutputs
+//                                                │            │
+//                                                └─staleness──▶ sessions
 //
 // The pump is the only thread touching operators, so operator code needs
 // no locks and folding is strictly admission-ordered — the determinism
-// contract. Watermarks are bounded out-of-orderness: per topic the
-// frontier is the max event time admitted, and each operator's watermark
-// advances to frontier − its allowed lateness.
+// contract. It works a batch at a time: one take_all() moves everything
+// queued out under one lock, the batch folds in order, and progress
+// (events consumed, EngineStats) is published once per batch, which is
+// also when a blocked flush() is woken. Between batches the pump blocks
+// until a push arrives or stop()/kill() wakes it. Watermarks are bounded
+// out-of-orderness: per topic the frontier is the max event time
+// admitted, and each operator's watermark advances to frontier − its
+// allowed lateness.
 //
 // Failover path (driven by StreamFabric): stop() the dead engine's
 // clients, construct a fresh engine over the same WAL dir on the new
@@ -24,6 +29,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -47,8 +53,6 @@ struct EngineConfig {
   /// Subscription admission bound: subscribe() rejects with
   /// RESOURCE_EXHAUSTED beyond this.
   std::size_t max_sessions = 64;
-  /// Pump poll granularity while the queue is empty.
-  std::chrono::microseconds idle_poll{200};
   /// Span sink (borrowed; may be null). When enabled, each delivery
   /// fan-out gets a "deliver" span and every Delivery carries a
   /// TraceContext parented under it, so consumer-side work stitches
@@ -112,7 +116,9 @@ class StreamEngine {
   void kill();
   [[nodiscard]] bool running() const { return running_.load(); }
 
-  /// Blocks until every admitted event has been folded and delivered.
+  /// Blocks until every event admitted so far has been folded and
+  /// delivered, or until the engine is stopped or killed: the events a
+  /// kill() strands are never folded, so waiting for them would not end.
   void flush();
 
   /// Replays this engine's WAL through the registered operators in
@@ -140,12 +146,26 @@ class StreamEngine {
   [[nodiscard]] std::size_t num_sessions() const;
 
  private:
+  /// Per-topic fold state. The map holding it is fixed once the engine
+  /// runs (add_operator refuses then), so readers need no lock for it.
+  struct TopicState {
+    std::vector<std::size_t> operators;  ///< indices into operators_
+    /// Max admitted event time: written by the pump only, read by the
+    /// metrics accessors.
+    std::atomic<std::uint64_t> frontier{0};
+  };
+
   void pump();
-  /// Folds one event and triggers its topic's operators. Pump thread or
-  /// stopped-engine replay only.
-  void process(const Event& event);
+  /// Sets the stop flag and wakes the pump and every flush() waiter.
+  void request_stop();
+  /// Folds one event and triggers its topic's operators, tallying into
+  /// `delta`. Pump thread or stopped-engine replay only.
+  void process(const Event& event, EngineStats* delta);
   void deliver(const std::string& topic, std::uint64_t frontier,
-               std::vector<WindowOutput>& outputs);
+               std::vector<WindowOutput>& outputs, EngineStats* delta);
+  /// Adds `delta` to the stats and `consumed` to the consumed count in
+  /// one step, then wakes flush() waiters.
+  void publish(const EngineStats& delta, std::uint64_t consumed);
 
   EngineConfig config_;
   obs::Registry* registry_;
@@ -155,12 +175,7 @@ class StreamEngine {
   /// Registration-ordered; WAL topic id = ingestor_.topic_id(topic).
   std::vector<std::unique_ptr<Operator>> operators_;
   std::vector<std::string> topics_;  ///< registration order
-  /// topic -> indices into operators_ (pump-thread-only after start).
-  std::map<std::string, std::vector<std::size_t>> by_topic_;
-  /// topic -> max admitted event time. Written by the pump, read by
-  /// metrics accessors under frontier_mu_.
-  mutable std::mutex frontier_mu_;
-  std::map<std::string, std::uint64_t> frontiers_;
+  std::map<std::string, TopicState> by_topic_;
 
   mutable std::mutex sessions_mu_;
   std::map<std::uint64_t, std::shared_ptr<StreamSession>> sessions_;
@@ -169,12 +184,19 @@ class StreamEngine {
   std::thread pump_thread_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};
-  /// Events the pump finished processing (pairs with ingest admitted
-  /// count; flush() waits for equality).
-  std::atomic<std::uint64_t> consumed_{0};
 
-  mutable std::mutex stats_mu_;
+  /// Guards consumed_ and stats_; progress_cv_ is signalled after each
+  /// published batch and on stop/kill.
+  mutable std::mutex progress_mu_;
+  std::condition_variable progress_cv_;
+  /// Events the pump finished processing (pairs with the ingestor's
+  /// admitted count; flush() waits for equality).
+  std::uint64_t consumed_ = 0;
   EngineStats stats_;
+
+  /// Frontier − min operator watermark after the last folded event
+  /// (pump or replay thread); the gauge takes it once per batch.
+  std::uint64_t watermark_lag_us_ = 0;
 
   obs::Counter* ctr_events_ = nullptr;
   obs::Counter* ctr_outputs_ = nullptr;

@@ -38,50 +38,48 @@ Ingestor::Ingestor(IngestorConfig config, obs::Registry* registry,
 
 std::uint32_t Ingestor::topic_id(const std::string& topic) {
   std::lock_guard<std::mutex> lock(mu_);
+  return topic_id_locked(topic);
+}
+
+std::uint32_t Ingestor::topic_id_locked(const std::string& topic) {
   for (std::size_t i = 0; i < topics_.size(); ++i) {
     if (topics_[i] == topic) return static_cast<std::uint32_t>(i);
   }
   topics_.push_back(topic);
+  labels_.push_back("event on '" + topic + "'");
   return static_cast<std::uint32_t>(topics_.size() - 1);
 }
 
 Status Ingestor::offer(Event event) {
   const int lane = event.sla == serve::SlaClass::kLatencyCritical ? 0 : 1;
-  const std::uint32_t tid = topic_id(event.topic);
   const bool punctuation = event.punctuation;
+  // One critical section across producers: queue order must equal WAL
+  // order (fold order == replay order is the determinism contract), and
+  // the stats move with them.
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::uint32_t tid = topic_id_locked(event.topic);
+  // Encoded before the event moves into the queue, so it is never copied.
+  const storage::LogRecord record = encode_event(event, tid);
   // Admit-then-journal: a rejected event is never logged, so replay
   // reproduces exactly the admitted sequence.
-  Status admitted;
-  {
-    // Queue order must equal WAL order (fold order == replay order is
-    // the determinism contract), so admission and journaling are one
-    // critical section across producers.
-    std::lock_guard<std::mutex> lock(admit_mu_);
-    admitted = queue_.push(event, lane, "event on '" + event.topic + "'");
-    if (admitted.ok() && wal_ != nullptr) {
-      wal_->append(encode_event(event, tid));
-    }
-  }
+  Status admitted = queue_.push(std::move(event), lane, labels_[tid]);
   if (!admitted.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.rejected;
-    }
+    ++stats_.rejected;
     if (ctr_rejected_ != nullptr) ctr_rejected_->inc();
     return admitted;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.admitted;
-    if (punctuation) ++stats_.punctuations;
-  }
+  if (wal_ != nullptr) wal_->append(record);
+  ++stats_.admitted;
+  if (punctuation) ++stats_.punctuations;
   if (ctr_admitted_ != nullptr) ctr_admitted_->inc();
   return OkStatus();
 }
 
-std::optional<Event> Ingestor::take(std::chrono::microseconds timeout) {
-  return queue_.pop(serve::Clock::now() + timeout);
+std::size_t Ingestor::take_all(std::vector<Event>* out) {
+  return queue_.pop_all(serve::Clock::time_point::max(), out);
 }
+
+void Ingestor::wake() { queue_.wake(); }
 
 void Ingestor::close() {
   queue_.close();

@@ -13,12 +13,10 @@
 // too.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,14 +55,21 @@ class Ingestor {
   /// order (StreamEngine registers operators deterministically).
   std::uint32_t topic_id(const std::string& topic);
 
-  /// Admission: WAL-append then queue, lane by `event.sla`. Rejects with
-  /// RESOURCE_EXHAUSTED when the queue is full (nothing is logged for a
-  /// rejected event), FAILED_PRECONDITION after close().
+  /// Admission: queue (lane by `event.sla`) then WAL-append, under one
+  /// lock. Rejects with RESOURCE_EXHAUSTED when the queue is full
+  /// (nothing is logged for a rejected event), FAILED_PRECONDITION after
+  /// close().
   Status offer(Event event);
 
-  /// Consumer side: oldest admitted event, priority lane first; blocks
-  /// up to `timeout`.
-  std::optional<Event> take(std::chrono::microseconds timeout);
+  /// Consumer side, batch at a time: appends every queued event to `out`
+  /// under one lock, priority lane first and oldest first within a lane.
+  /// Blocks until an event arrives, close(), or wake(); returns the
+  /// number appended.
+  std::size_t take_all(std::vector<Event>* out);
+
+  /// Ends the consumer's blocked take_all() (or its next one) without
+  /// closing admission: the engine's stop path.
+  void wake();
 
   void close();
   [[nodiscard]] bool closed() const;
@@ -83,14 +88,18 @@ class Ingestor {
       storage::Env* env = nullptr);
 
  private:
+  std::uint32_t topic_id_locked(const std::string& topic);
+
   IngestorConfig config_;
   serve::TwoLaneQueue<Event> queue_;
   std::unique_ptr<storage::CatalogLog> wal_;
 
-  /// Serializes push + WAL append so queue order == WAL order.
-  std::mutex admit_mu_;
+  /// The admission lock: topic ids, queue push + WAL append (so queue
+  /// order == WAL order) and the stats, in one critical section.
   mutable std::mutex mu_;
   std::vector<std::string> topics_;  ///< index = topic id
+  /// Rejection label per topic id ("event on '<topic>'"), built once.
+  std::vector<std::string> labels_;
   IngestStats stats_;
 
   obs::Counter* ctr_admitted_ = nullptr;

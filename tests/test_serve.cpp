@@ -11,6 +11,8 @@
 #include <mutex>
 #include <set>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "serve/loadgen.hpp"
 #include "serve/server.hpp"
@@ -123,6 +125,71 @@ TEST(RequestQueue, CloseWakesBlockedPopCompatible) {
                    .has_value());
   EXPECT_LT(Clock::now() - start, std::chrono::seconds(10));
   closer.join();
+}
+
+TEST(TwoLaneQueue, PopAllDrainsPriorityLaneFirstInPopOrder) {
+  // The same interleaved pushes into two queues: one drained by a run of
+  // pop() calls, the other by one pop_all().
+  const std::vector<std::pair<int, int>> pushes = {
+      {10, 1}, {11, 1}, {20, 0}, {12, 1}, {21, 0}, {13, 1}, {22, 0}};
+  TwoLaneQueue<int> by_pop(16);
+  TwoLaneQueue<int> by_pop_all(16);
+  for (const auto& [item, lane] : pushes) {
+    ASSERT_TRUE(by_pop.push(item, lane, "item").ok());
+    ASSERT_TRUE(by_pop_all.push(item, lane, "item").ok());
+  }
+  std::vector<int> popped;
+  while (auto item = by_pop.pop(Clock::now())) popped.push_back(*item);
+
+  std::vector<int> drained = {-1};  // pop_all appends after what is there
+  EXPECT_EQ(by_pop_all.pop_all(Clock::now(), &drained), pushes.size());
+  EXPECT_EQ(drained, (std::vector<int>{-1, 20, 21, 22, 10, 11, 12, 13}));
+  drained.erase(drained.begin());
+  EXPECT_EQ(drained, popped);
+  EXPECT_EQ(by_pop_all.size(), 0u);
+}
+
+TEST(TwoLaneQueue, PopAllPastDeadlineReturnsZero) {
+  TwoLaneQueue<int> queue(4);
+  std::vector<int> out;
+  const auto start = Clock::now();
+  EXPECT_EQ(queue.pop_all(start - std::chrono::milliseconds(1), &out), 0u);
+  EXPECT_EQ(queue.pop_all(start + std::chrono::milliseconds(5), &out), 0u);
+  EXPECT_GE(Clock::now() - start, std::chrono::milliseconds(5));
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(TwoLaneQueue, CloseWakesBlockedPopAll) {
+  TwoLaneQueue<int> queue(4);
+  std::thread closer([&queue] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    queue.close();
+  });
+  std::vector<int> out;
+  const auto start = Clock::now();
+  // No deadline at all: only close() can end this wait.
+  EXPECT_EQ(queue.pop_all(Clock::time_point::max(), &out), 0u);
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(10));
+  closer.join();
+}
+
+TEST(TwoLaneQueue, WakeEndsOnePopAllWithoutClosing) {
+  TwoLaneQueue<int> queue(4);
+  std::thread waker([&queue] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    queue.wake();
+  });
+  std::vector<int> out;
+  EXPECT_EQ(queue.pop_all(Clock::time_point::max(), &out), 0u);
+  waker.join();
+  // The wake-up was consumed and admission never stopped.
+  EXPECT_FALSE(queue.closed());
+  ASSERT_TRUE(queue.push(7, 1, "item").ok());
+  EXPECT_EQ(queue.pop_all(Clock::time_point::max(), &out), 1u);
+  EXPECT_EQ(out, std::vector<int>{7});
+  // A wake() with no waiter ends the next wait instead of being lost.
+  queue.wake();
+  EXPECT_EQ(queue.pop_all(Clock::time_point::max(), &out), 0u);
 }
 
 // -------------------------------------------------------------- batcher

@@ -22,6 +22,7 @@
 #include "obs/registry.hpp"
 #include "platform/desim.hpp"
 #include "storage/storage.hpp"
+#include "stream/ingestor.hpp"
 
 namespace everest::storage {
 namespace {
@@ -60,6 +61,17 @@ LogRecord rec(LogRecordType type, std::uint64_t seq, std::uint64_t object = 1,
               std::uint32_t shard = 0, std::uint64_t version = 0,
               std::uint64_t node = 0, double bytes = 0.0) {
   return LogRecord{type, seq, object, shard, version, node, bytes};
+}
+
+std::string to_hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------- format --
@@ -133,6 +145,76 @@ TEST(Format, GarbageLengthIsCorruptNotCrash) {
   LogRecord out;
   EXPECT_EQ(decode_record(reader, &out), DecodeStatus::kCorrupt);
   EXPECT_EQ(reader.remaining(), 0u);
+}
+
+// Golden frames: the on-disk WAL format is pinned byte for byte, so any
+// change to the encoder (buffer handling, field order, CRC coverage)
+// that alters a frame fails here, not in a replay much later. Each
+// expected string is laid out as: len, crc / type, seq, object, shard /
+// version, node, bytes — all little-endian.
+TEST(Format, GoldenFramesArePinned) {
+  std::string place;
+  encode_record(rec(LogRecordType::kPlace, 5, 0x0102030405060708ULL, 3, 1000,
+                    2, 1.5),
+                place);
+  EXPECT_EQ(to_hex(place),
+            "2d000000" "0e5dcb3a"
+            "02" "0500000000000000" "0807060504030201" "03000000"
+            "e803000000000000" "0200000000000000" "000000000000f83f");
+  std::string seal = "prefix";  // encode appends; existing bytes stay
+  encode_record(rec(LogRecordType::kSeal, 6, 9, 1, 2000, 0xDEADBEEFULL, 0.0),
+                seal);
+  EXPECT_EQ(seal.substr(0, 6), "prefix");
+  EXPECT_EQ(to_hex(seal.substr(6)),
+            "2d000000" "4490aa8e"
+            "08" "0600000000000000" "0900000000000000" "01000000"
+            "d007000000000000" "efbeadde00000000" "0000000000000000");
+}
+
+TEST(Format, GoldenIngestorJournalIsPinned) {
+  TempDir dir("golden_journal");
+  FaultEnv fenv(Env::posix());  // no rules: a pass-through Env
+  {
+    stream::IngestorConfig config;
+    config.wal_dir = dir.path();
+    config.wal.sync_every = 1;
+    stream::Ingestor ingestor(config, nullptr, &fenv);
+    stream::Event reading;
+    reading.topic = "aq";
+    reading.key = 7;
+    reading.event_time_us = 100;
+    reading.value = 42.5;
+    reading.seed = 0x1234;
+    stream::Event other = reading;
+    other.topic = "traffic";
+    other.key = 3;
+    other.event_time_us = 200;
+    other.value = -1.0;
+    other.sla = serve::SlaClass::kLatencyCritical;
+    stream::Event heartbeat;
+    heartbeat.topic = "aq";
+    heartbeat.event_time_us = 300;
+    heartbeat.punctuation = true;
+    ASSERT_TRUE(ingestor.offer(reading).ok());
+    ASSERT_TRUE(ingestor.offer(other).ok());
+    ASSERT_TRUE(ingestor.offer(heartbeat).ok());
+    ingestor.close();
+  }
+  const std::string journal =
+      fenv.read_file(CatalogLog::log_path(dir.path())).value();
+  ASSERT_EQ(journal.size(), 3 * kRecordFrameBytes);
+  EXPECT_EQ(to_hex(journal.substr(0, kRecordFrameBytes)),
+            "2d000000" "4c10ccdf"
+            "02" "0100000000000000" "0700000000000000" "00000000"
+            "6400000000000000" "3412000000000000" "0000000000404540");
+  EXPECT_EQ(to_hex(journal.substr(kRecordFrameBytes, kRecordFrameBytes)),
+            "2d000000" "216c1f54"
+            "02" "0200000000000000" "0300000000000000" "01000000"
+            "c800000000000000" "3412000000000000" "000000000000f0bf");
+  EXPECT_EQ(to_hex(journal.substr(2 * kRecordFrameBytes)),
+            "2d000000" "ea38b07a"
+            "08" "0300000000000000" "0000000000000000" "00000000"
+            "2c01000000000000" "0000000000000000" "0000000000000000");
 }
 
 // --------------------------------------------------------------- catalog --

@@ -6,10 +6,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <latch>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -265,11 +269,33 @@ TEST(Ingestor, TwoLanePriorityAndRejection) {
   ASSERT_FALSE(full.ok());
   EXPECT_EQ(full.code(), StatusCode::kResourceExhausted);
   // The latency-critical event jumps both earlier bulk events.
-  auto first = ingestor.take(std::chrono::microseconds(1000));
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->event_time_us, 2u);
+  std::vector<Event> taken;
+  ASSERT_EQ(ingestor.take_all(&taken), 3u);
+  EXPECT_EQ(taken[0].event_time_us, 2u);
+  EXPECT_EQ(taken[1].event_time_us, 1u);
   EXPECT_EQ(ingestor.stats().admitted, 3u);
   EXPECT_EQ(ingestor.stats().rejected, 1u);
+}
+
+TEST(Ingestor, FullQueueRejectionNamesTopicAndCounts) {
+  obs::Registry registry;
+  IngestorConfig config;
+  config.queue_capacity = 2;
+  Ingestor ingestor(config, &registry);
+  ASSERT_TRUE(ingestor.offer(make_event("aq", 0, 1, 0.0)).ok());
+  ASSERT_TRUE(ingestor.offer(make_event("traffic", 0, 2, 0.0)).ok());
+  for (const std::string topic : {"traffic", "aq", "traffic"}) {
+    const Status full = ingestor.offer(make_event(topic, 0, 3, 0.0));
+    ASSERT_EQ(full.code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(full.message().find("event on '" + topic + "'"),
+              std::string::npos)
+        << full.message();
+  }
+  EXPECT_EQ(ingestor.stats().admitted, 2u);
+  EXPECT_EQ(ingestor.stats().rejected, 3u);
+  EXPECT_EQ(registry.counter("stream.ingest.rejected")->value(), 3u);
+  EXPECT_EQ(registry.counter("stream.ingest.admitted")->value(), 2u);
+  EXPECT_EQ(ingestor.pending(), 2u);
 }
 
 TEST(Ingestor, WalRoundtripPreservesOrderAndPunctuation) {
@@ -526,6 +552,142 @@ TEST(StreamEngine, ConcurrentProducersLoseNothingAdmitted) {
   }
   EXPECT_EQ(folded, admitted.load());
   engine.stop();
+}
+
+/// Records the event time of every event folded, in fold order. The first
+/// offer() blocks until release() — it pins the pump on one event while
+/// the test arranges the queue behind it.
+class GatedRecorder final : public Operator {
+ public:
+  GatedRecorder() : Operator("recorder", "aq") {}
+
+  bool offer(const Event& event) override {
+    if (!gated_) {
+      gated_ = true;
+      entered_.count_down();
+      released_.wait();
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    folded_.push_back(event.event_time_us);
+    return true;
+  }
+  void advance_watermark(std::uint64_t watermark_us,
+                         std::vector<WindowOutput>*) override {
+    watermark_us_ = std::max(watermark_us_, watermark_us);
+  }
+  [[nodiscard]] std::uint64_t watermark_us() const override {
+    return watermark_us_;
+  }
+  [[nodiscard]] std::uint64_t allowed_lateness_us() const override {
+    return 0;
+  }
+  [[nodiscard]] std::uint64_t max_window_span_us() const override {
+    return 0;
+  }
+  void reset() override {}
+  [[nodiscard]] const OperatorStats& stats() const override { return stats_; }
+
+  /// Blocks until the pump is inside the first offer().
+  void wait_entered() { entered_.wait(); }
+  void release() { released_.count_down(); }
+  [[nodiscard]] std::vector<std::uint64_t> folded() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return folded_;
+  }
+
+ private:
+  bool gated_ = false;  // pump thread only
+  std::latch entered_{1};
+  std::latch released_{1};
+  mutable std::mutex mu_;
+  std::vector<std::uint64_t> folded_;
+  std::uint64_t watermark_us_ = 0;
+  OperatorStats stats_;
+};
+
+TEST(StreamEngine, FlushReturnsWhenKilledWithEventsQueued) {
+  StreamEngine engine(EngineConfig{});
+  auto recorder = std::make_unique<GatedRecorder>();
+  GatedRecorder* gate = recorder.get();
+  ASSERT_TRUE(engine.add_operator(std::move(recorder)).ok());
+  engine.start();
+  for (std::uint64_t t = 1; t <= 8; ++t) {
+    ASSERT_TRUE(engine.ingest(make_event("aq", 0, t, 1.0)).ok());
+  }
+  gate->wait_entered();  // the pump holds event 1; the rest wait behind it
+
+  std::atomic<bool> flushed{false};
+  std::thread flusher([&] {
+    engine.flush();
+    flushed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // kill() blocks joining the pump, which is stuck in the operator; the
+  // latch opens once kill() has had time to raise the stop flag.
+  std::thread killer([&] { engine.kill(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  gate->release();
+  killer.join();
+
+  const auto released = serve::Clock::now();
+  while (!flushed.load() &&
+         serve::Clock::now() - released < std::chrono::seconds(1)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(flushed.load()) << "flush() still blocked 1 s after kill()";
+  // A restarted pump folds the stranded events, so a hung flush() fails
+  // the test instead of hanging it.
+  if (!flushed.load()) engine.start();
+  flusher.join();
+  engine.kill();
+}
+
+TEST(StreamEngine, LatencyCriticalEventFoldsBeforeQueuedThroughput) {
+  StreamEngine engine(EngineConfig{});
+  auto recorder = std::make_unique<GatedRecorder>();
+  GatedRecorder* gate = recorder.get();
+  ASSERT_TRUE(engine.add_operator(std::move(recorder)).ok());
+  engine.start();
+  ASSERT_TRUE(engine.ingest(make_event("aq", 0, 1, 1.0)).ok());
+  gate->wait_entered();  // the queue is empty behind the pinned event
+  for (std::uint64_t t = 2; t <= 4; ++t) {
+    ASSERT_TRUE(engine.ingest(make_event("aq", 0, t, 1.0)).ok());
+  }
+  Event urgent = make_event("aq", 0, 5, 1.0);
+  urgent.sla = serve::SlaClass::kLatencyCritical;
+  ASSERT_TRUE(engine.ingest(urgent).ok());
+  gate->release();
+  engine.flush();
+  EXPECT_EQ(gate->folded(), (std::vector<std::uint64_t>{1, 5, 2, 3, 4}));
+  EXPECT_EQ(engine.stats().events_processed, 5u);
+  engine.stop();
+}
+
+TEST(StreamEngine, IngestAfterKillStillAdmits) {
+  EngineConfig config;
+  config.ingest.queue_capacity = 4;
+  StreamEngine engine(config);
+  WindowSpec spec;
+  ASSERT_TRUE(engine
+                  .add_operator(std::make_unique<WindowedOperator>(
+                      "count", "aq", spec, count_accumulator()))
+                  .ok());
+  engine.start();
+  ASSERT_TRUE(engine.ingest(make_event("aq", 0, 1, 1.0)).ok());
+  engine.flush();
+  engine.kill();
+  EXPECT_FALSE(engine.running());
+  // Fail-stop does not close admission: events still queue (and are
+  // journaled when a WAL is set) until the bounded queue fills.
+  for (std::uint64_t t = 2; t <= 5; ++t) {
+    EXPECT_TRUE(engine.ingest(make_event("aq", 0, t, 1.0)).ok()) << t;
+  }
+  EXPECT_EQ(engine.ingest(make_event("aq", 0, 6, 1.0)).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(engine.ingestor().stats().admitted, 5u);
+  EXPECT_EQ(engine.ingestor().pending(), 4u);
+  engine.flush();  // not running: returns at once
+  EXPECT_EQ(engine.stats().events_processed, 1u);
 }
 
 // ---- crash-mid-window failover replay -------------------------------------
