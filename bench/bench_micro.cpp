@@ -312,6 +312,24 @@ void BM_CatalogLogAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_CatalogLogAppend)->Arg(1)->Arg(64);
 
+// The CRC every WAL frame carries: one encoded 53-byte frame, checksummed
+// over its 45-byte payload as encode_record and decode_record do.
+void BM_Crc32Frame(benchmark::State& state) {
+  std::string frame;
+  storage::encode_record(
+      storage::LogRecord{storage::LogRecordType::kPlace, 1, 7, 0, 0, 1, 1e6},
+      frame);
+  std::uint32_t sink = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(frame.data());
+    sink ^= storage::crc32(frame.data() + 8, frame.size() - 8);
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(frame.size() - 8));
+}
+BENCHMARK(BM_Crc32Frame);
+
 // Segment-store lookup backs every tier residency probe the data plane
 // makes on a cache miss (one map walk; no I/O).
 void BM_SegmentLocate(benchmark::State& state) {
@@ -417,6 +435,39 @@ void BM_StreamWindowAdvance(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StreamWindowAdvance)->Arg(4)->Arg(64);
+
+// The same fold + advance under the spec the journaled stream benchmark
+// runs: 200 ms windows sliding by 20 ms (10 covers per event), 20 ms
+// allowed lateness, one event per 10 us round-robin over the keys.
+void BM_StreamWindowAdvanceJournal(benchmark::State& state) {
+  const std::uint64_t keys = static_cast<std::uint64_t>(state.range(0));
+  const stream::WindowSpec spec{stream::WindowKind::kSliding, 200'000, 20'000,
+                                20'000};
+  stream::WindowedOperator op("plume", "aq", spec,
+                              stream::mean_accumulator());
+  stream::Event event;
+  event.topic = "aq";
+  event.value = 1.0;
+  std::vector<stream::WindowOutput> out;
+  std::uint64_t i = 0;
+  std::uint64_t sink = 0;
+  for (auto _ : state) {
+    ++i;
+    event.key = i % keys;
+    event.event_time_us = i * 10;
+    op.offer(event);
+    out.clear();
+    const std::uint64_t t = event.event_time_us;
+    op.advance_watermark(t > spec.allowed_lateness_us
+                             ? t - spec.allowed_lateness_us
+                             : 0,
+                         &out);
+    sink += out.size();
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StreamWindowAdvanceJournal)->Arg(64);
 
 // Publish fan-out is the pub/sub invalidation hot path: one put() and a
 // delta transfer scheduled per (subscriber, shard). Arg is subscribers.

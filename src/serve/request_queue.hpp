@@ -14,11 +14,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <iterator>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.hpp"
@@ -28,6 +29,13 @@ namespace everest::serve {
 
 /// Thread-safe bounded MPMC queue with two priority lanes (lane 0 is
 /// always popped first). Producers never block: a full queue rejects.
+///
+/// Each lane is a vector with a consumed prefix [0, head): pop() advances
+/// `head` and compacts once the popped prefix is the larger half. A bulk
+/// drain into an empty vector swaps buffers instead of moving items, so
+/// a consumer that clears and reuses its batch vector trades the same two
+/// buffers back and forth with the producers — no allocation per item or
+/// per batch once both have grown, and O(1) work under the lock.
 template <typename T>
 class TwoLaneQueue {
  public:
@@ -35,18 +43,24 @@ class TwoLaneQueue {
 
   /// Admission: enqueues into `lane` (0 = priority, 1 = bulk) or rejects
   /// with RESOURCE_EXHAUSTED when full, FAILED_PRECONDITION when closed.
-  /// `label` names the rejected item in the error message. Never blocks.
-  Status push(T item, int lane, const std::string& label) {
+  /// A rejection names the item as "<noun> '<name>'"; the message is
+  /// built only then. `item` moves into the queue only once admitted, so
+  /// `name` may view into it. Never blocks.
+  template <typename U>
+  Status push(U&& item, int lane, std::string_view noun,
+              std::string_view name) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (closed_) {
         return FailedPrecondition("queue is closed");
       }
       if (total_locked() >= capacity_) {
-        return ResourceExhausted("queue full (" + std::to_string(capacity_) +
-                                 " pending), " + label + " rejected");
+        std::string message = "queue full (" + std::to_string(capacity_) +
+                              " pending), ";
+        message.append(noun).append(" '").append(name).append("' rejected");
+        return ResourceExhausted(std::move(message));
       }
-      lanes_[lane == 0 ? 0 : 1].push_back(std::move(item));
+      lanes_[lane == 0 ? 0 : 1].items.push_back(std::forward<U>(item));
     }
     cv_.notify_all();  // a pop_compatible() waiter may not want this item
     return OkStatus();
@@ -58,10 +72,10 @@ class TwoLaneQueue {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait_until(lock, deadline,
                    [this] { return closed_ || total_locked() > 0; });
-    for (auto& lane : lanes_) {
-      if (!lane.empty()) {
-        T out = std::move(lane.front());
-        lane.pop_front();
+    for (Lane& lane : lanes_) {
+      if (lane.size() > 0) {
+        T out = std::move(lane.items[lane.head++]);
+        lane.compact();
         return out;
       }
     }
@@ -70,9 +84,11 @@ class TwoLaneQueue {
 
   /// Moves every queued item to the back of `out` under one lock:
   /// priority lane first, FIFO within each lane — the order a run of
-  /// pop() calls with no pushes in between would give. Blocks until an
-  /// item arrives; returns the number moved, which is 0 once `deadline`
-  /// passes, the queue is closed and drained, or wake() ended the wait.
+  /// pop() calls with no pushes in between would give. When `out` is
+  /// empty and only the bulk lane holds items, the buffers are swapped
+  /// instead. Blocks until an item arrives; returns the number moved,
+  /// which is 0 once `deadline` passes, the queue is closed and drained,
+  /// or wake() ended the wait.
   std::size_t pop_all(Clock::time_point deadline, std::vector<T>* out) {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait_until(lock, deadline, [this] {
@@ -80,10 +96,17 @@ class TwoLaneQueue {
     });
     woken_ = false;
     const std::size_t n = total_locked();
-    for (auto& lane : lanes_) {
+    if (n == 0) return 0;
+    Lane& bulk = lanes_[1];
+    if (out->empty() && lanes_[0].size() == 0 && bulk.head == 0) {
+      out->swap(bulk.items);  // hands back out's emptied buffer
+      return n;
+    }
+    for (Lane& lane : lanes_) {
       out->insert(out->end(), std::make_move_iterator(lane.begin()),
-                  std::make_move_iterator(lane.end()));
-      lane.clear();
+                  std::make_move_iterator(lane.items.end()));
+      lane.items.clear();
+      lane.head = 0;
     }
     return n;
   }
@@ -121,6 +144,27 @@ class TwoLaneQueue {
   }
 
  protected:
+  /// FIFO lane: live items are items[head, size()); the prefix before
+  /// `head` holds moved-from shells awaiting compaction.
+  struct Lane {
+    std::vector<T> items;
+    std::size_t head = 0;
+
+    [[nodiscard]] std::size_t size() const { return items.size() - head; }
+    /// First live item.
+    typename std::vector<T>::iterator begin() {
+      return items.begin() + static_cast<std::ptrdiff_t>(head);
+    }
+    /// Drops the popped prefix once it is the larger half (all of it
+    /// when the lane ran empty), keeping pop() amortized O(1).
+    void compact() {
+      if (head * 2 <= items.size()) return;
+      items.erase(items.begin(),
+                  items.begin() + static_cast<std::ptrdiff_t>(head));
+      head = 0;
+    }
+  };
+
   [[nodiscard]] std::size_t total_locked() const {
     return lanes_[0].size() + lanes_[1].size();
   }
@@ -128,7 +172,7 @@ class TwoLaneQueue {
   const std::size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<T> lanes_[2];
+  Lane lanes_[2];
   bool closed_ = false;
   bool woken_ = false;  ///< a wake() no pop_all() has consumed yet
 };

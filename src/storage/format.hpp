@@ -20,8 +20,8 @@
 
 namespace everest::storage {
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected). `seed` chains calls:
-/// crc32(b, crc32(a)) == crc32(a+b).
+/// CRC-32 (IEEE 802.3 polynomial, reflected), eight bytes per step
+/// (slicing-by-8). `seed` chains calls: crc32(b, crc32(a)) == crc32(a+b).
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t size,
                                   std::uint32_t seed = 0);
 [[nodiscard]] inline std::uint32_t crc32(std::string_view s,

@@ -116,34 +116,33 @@ void CatalogLog::note_io_error_locked(const Status& status) {
 }
 
 AppendAck CatalogLog::append(LogRecord record) {
-  std::string frame;
-  frame.reserve(kRecordFrameBytes);
   AppendAck ack;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ack.seq = next_seq_++;
     record.seq = ack.seq;
-    encode_record(record, frame);
+    frame_.clear();
+    encode_record(record, frame_);
     ++stats_.appends;
     if (!last_error_.ok() || file_ == nullptr) {
       // Degraded: stamp and queue. The frame reaches disk when the
       // fault clears (sync probe) or is subsumed by a checkpoint.
-      pending_.push_back(std::move(frame));
+      pending_.push_back(frame_);
       stats_.pending_records = pending_.size();
       ack.durable = last_error_.ok()
                         ? Unavailable("catalog log file is not open")
                         : last_error_;
     } else {
-      const Status written = file_->append(frame);
+      const Status written = file_->append(frame_);
       if (written.ok()) {
-        committed_bytes_ += frame.size();
-        stats_.log_bytes += static_cast<double>(frame.size());
+        committed_bytes_ += frame_.size();
+        stats_.log_bytes += static_cast<double>(frame_.size());
         if (++unsynced_ >= config_.sync_every) {
           ack.durable = sync_locked();
         }
       } else {
         note_io_error_locked(written);
-        pending_.push_back(std::move(frame));
+        pending_.push_back(frame_);
         stats_.pending_records = pending_.size();
         ack.durable = written;
       }

@@ -167,6 +167,9 @@ class CatalogLog {
   std::uint64_t committed_bytes_ = 0;
   /// Encoded frames stamped but not yet on disk (I/O fault backlog).
   std::vector<std::string> pending_;
+  /// append()'s encode buffer, reused so a healthy append allocates
+  /// nothing; copied into pending_ only on the degraded path.
+  std::string frame_;
   Status last_error_;
   LogStats stats_;
 

@@ -46,7 +46,6 @@ std::uint32_t Ingestor::topic_id_locked(const std::string& topic) {
     if (topics_[i] == topic) return static_cast<std::uint32_t>(i);
   }
   topics_.push_back(topic);
-  labels_.push_back("event on '" + topic + "'");
   return static_cast<std::uint32_t>(topics_.size() - 1);
 }
 
@@ -62,7 +61,8 @@ Status Ingestor::offer(Event event) {
   const storage::LogRecord record = encode_event(event, tid);
   // Admit-then-journal: a rejected event is never logged, so replay
   // reproduces exactly the admitted sequence.
-  Status admitted = queue_.push(std::move(event), lane, labels_[tid]);
+  Status admitted =
+      queue_.push(std::move(event), lane, "event on", topics_[tid]);
   if (!admitted.ok()) {
     ++stats_.rejected;
     if (ctr_rejected_ != nullptr) ctr_rejected_->inc();

@@ -98,8 +98,6 @@ class Ingestor {
   /// order == WAL order) and the stats, in one critical section.
   mutable std::mutex mu_;
   std::vector<std::string> topics_;  ///< index = topic id
-  /// Rejection label per topic id ("event on '<topic>'"), built once.
-  std::vector<std::string> labels_;
   IngestStats stats_;
 
   obs::Counter* ctr_admitted_ = nullptr;

@@ -13,15 +13,17 @@
 // Determinism contract (what the TEST_P suites and the crash-replay
 // byte-identity checks rely on): given the same per-key event sequence,
 // offer/advance produce byte-identical outputs — window assignment is
-// integer arithmetic, victim-free state lives in std::map ordered by
-// (window end, key), and accumulator folding is sequential.
+// integer arithmetic, open windows are kept in end order, a closing
+// window emits its cells sorted by key, and accumulator folding is
+// sequential.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "stream/event.hpp"
@@ -117,6 +119,14 @@ class Operator {
 
 /// The generic windowed operator: per-(window, key) accumulators from a
 /// factory, watermark-driven closing, deterministic output order.
+///
+/// Cell store: the open windows sit in a vector in end order, and each
+/// holds a flat vector of cells indexed by a dense per-operator key slot.
+/// An event costs one key→slot hash lookup, then one indexed access per
+/// covering window. A key keeps its slot while any open window holds a
+/// cell for it; the slot is recycled after that, so memory follows the
+/// live state. Closed windows hand their cell vectors to the next windows
+/// to open, so a steady stream allocates only accumulators.
 class WindowedOperator : public Operator {
  public:
   WindowedOperator(std::string name, std::string topic, WindowSpec spec,
@@ -139,30 +149,47 @@ class WindowedOperator : public Operator {
 
   [[nodiscard]] const WindowSpec& spec() const { return spec_; }
   /// Open (window, key) cells currently held.
-  [[nodiscard]] std::size_t open_cells() const { return cells_.size(); }
+  [[nodiscard]] std::size_t open_cells() const { return open_cells_; }
 
  private:
-  struct CellKey {
-    std::uint64_t end_us = 0;
-    std::uint64_t key = 0;
-    friend bool operator<(const CellKey& a, const CellKey& b) {
-      if (a.end_us != b.end_us) return a.end_us < b.end_us;
-      return a.key < b.key;
-    }
-  };
+  /// One (window, key) accumulator; `acc` is null while the window holds
+  /// no cell for the slot's key.
   struct Cell {
-    std::uint64_t start_us = 0;
     std::uint64_t events = 0;
     std::unique_ptr<Accumulator> acc;
   };
+  struct Window {
+    std::uint64_t start_us = 0;
+    std::uint64_t end_us = 0;
+    std::vector<Cell> cells;  ///< index = key slot
+  };
+
+  /// The key's slot, assigning a free one if the key holds none.
+  std::uint32_t slot_of(std::uint64_t key);
+  /// Index of the open window [start_us, end_us), opened at `pos` (its
+  /// place in end order) when `windows_[pos - 1]` is not it already.
+  std::size_t window_at(std::size_t pos, std::uint64_t start_us,
+                        std::uint64_t end_us);
+  /// Emits `window`'s cells in key order, frees their slots, and keeps
+  /// its cell vector for reuse.
+  void close_window(Window& window, std::vector<WindowOutput>* out);
 
   WindowSpec spec_;
   AccumulatorFactory factory_;
-  /// Ordered by (window end, key): advance_watermark pops a prefix.
-  std::map<CellKey, Cell> cells_;
+  /// Ascending window end: advance_watermark closes a prefix.
+  std::vector<Window> windows_;
+  /// Emptied cell vectors of closed windows, reused by the next to open.
+  std::vector<std::vector<Cell>> spare_cells_;
+  std::unordered_map<std::uint64_t, std::uint32_t> slot_of_key_;
+  std::vector<std::uint64_t> slot_key_;      ///< index = slot
+  std::vector<std::uint32_t> slot_windows_;  ///< open windows with a cell
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t open_cells_ = 0;
   std::uint64_t watermark_ = 0;
   OperatorStats stats_;
   std::vector<std::uint64_t> scratch_starts_;
+  /// (key, slot) of a closing window's cells, sorted into emission order.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> scratch_closing_;
 };
 
 }  // namespace everest::stream

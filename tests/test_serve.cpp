@@ -10,6 +10,7 @@
 #include <latch>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -69,6 +70,21 @@ TEST(RequestQueue, AdmitsUpToCapacityThenRejects) {
   EXPECT_TRUE(
       queue.pop(Clock::now() + std::chrono::microseconds(1000)).has_value());
   EXPECT_TRUE(queue.push(make_pending("k", SlaClass::kThroughput)).ok());
+}
+
+TEST(RequestQueue, RejectionNamesTheKernel) {
+  RequestQueue queue(2);
+  ASSERT_TRUE(queue.push(make_pending("k", SlaClass::kThroughput)).ok());
+  ASSERT_TRUE(queue.push(make_pending("k", SlaClass::kThroughput)).ok());
+  // A short (inline) and a long (heap) kernel name: the message views
+  // the name inside the rejected request itself.
+  for (const std::string kernel : {"sgemm", "ptdr_route_sampling_kernel"}) {
+    const Status st =
+        queue.push(make_pending(kernel, SlaClass::kLatencyCritical));
+    ASSERT_EQ(st.code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(st.message(),
+              "queue full (2 pending), request '" + kernel + "' rejected");
+  }
 }
 
 TEST(RequestQueue, LatencyCriticalPopsFirst) {
@@ -135,8 +151,8 @@ TEST(TwoLaneQueue, PopAllDrainsPriorityLaneFirstInPopOrder) {
   TwoLaneQueue<int> by_pop(16);
   TwoLaneQueue<int> by_pop_all(16);
   for (const auto& [item, lane] : pushes) {
-    ASSERT_TRUE(by_pop.push(item, lane, "item").ok());
-    ASSERT_TRUE(by_pop_all.push(item, lane, "item").ok());
+    ASSERT_TRUE(by_pop.push(item, lane, "item", "int").ok());
+    ASSERT_TRUE(by_pop_all.push(item, lane, "item", "int").ok());
   }
   std::vector<int> popped;
   while (auto item = by_pop.pop(Clock::now())) popped.push_back(*item);
@@ -147,6 +163,116 @@ TEST(TwoLaneQueue, PopAllDrainsPriorityLaneFirstInPopOrder) {
   drained.erase(drained.begin());
   EXPECT_EQ(drained, popped);
   EXPECT_EQ(by_pop_all.size(), 0u);
+}
+
+std::vector<int> pop_every(TwoLaneQueue<int>& queue) {
+  std::vector<int> out;
+  while (auto item = queue.pop(Clock::now())) out.push_back(*item);
+  return out;
+}
+
+TEST(TwoLaneQueue, PopAllAfterPartialPopsKeepsLaneOrder) {
+  TwoLaneQueue<int> queue(16);
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(queue.push(10 + i, 1, "item", "int").ok());
+  }
+  ASSERT_EQ(*queue.pop(Clock::now()), 10);
+  ASSERT_EQ(*queue.pop(Clock::now()), 11);
+  // Popped prefix in the bulk lane, empty out: items move, in order.
+  std::vector<int> out;
+  EXPECT_EQ(queue.pop_all(Clock::now(), &out), 4u);
+  EXPECT_EQ(out, (std::vector<int>{12, 13, 14, 15}));
+
+  // Non-empty out with only the bulk lane holding items: appended.
+  ASSERT_TRUE(queue.push(16, 1, "item", "int").ok());
+  EXPECT_EQ(queue.pop_all(Clock::now(), &out), 1u);
+  EXPECT_EQ(out, (std::vector<int>{12, 13, 14, 15, 16}));
+
+  // Priority lane non-empty, empty out: lane 0 first, even after a pop
+  // took from lane 0.
+  out.clear();
+  for (const auto& [item, lane] : std::vector<std::pair<int, int>>{
+           {1, 1}, {2, 1}, {20, 0}, {21, 0}, {3, 1}, {22, 0}}) {
+    ASSERT_TRUE(queue.push(item, lane, "item", "int").ok());
+  }
+  ASSERT_EQ(*queue.pop(Clock::now()), 20);
+  EXPECT_EQ(queue.pop_all(Clock::now(), &out), 5u);
+  EXPECT_EQ(out, (std::vector<int>{21, 22, 1, 2, 3}));
+  EXPECT_EQ(queue.size(), 0u);
+}
+
+TEST(TwoLaneQueue, BulkPopAllSwapsBuffersWithAnEmptyBatch) {
+  TwoLaneQueue<int> queue(64);
+  std::vector<int> batch;
+  batch.reserve(32);
+  const int* const mine = batch.data();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(queue.push(i, 1, "item", "int").ok());
+  }
+  EXPECT_EQ(queue.pop_all(Clock::now(), &batch), 3u);
+  EXPECT_EQ(batch, (std::vector<int>{0, 1, 2}));
+  // The queue now fills the buffer the batch handed over; clearing the
+  // batch and draining again trades the two buffers back.
+  EXPECT_NE(batch.data(), mine);
+  batch.clear();
+  for (int i = 3; i < 5; ++i) {
+    ASSERT_TRUE(queue.push(i, 1, "item", "int").ok());
+  }
+  EXPECT_EQ(queue.pop_all(Clock::now(), &batch), 2u);
+  EXPECT_EQ(batch, (std::vector<int>{3, 4}));
+  EXPECT_EQ(batch.data(), mine);
+}
+
+TEST(TwoLaneQueue, PopStaysFifoAcrossCompaction) {
+  TwoLaneQueue<int> queue(256);
+  std::vector<int> expected;
+  std::vector<int> popped;
+  int next = 0;
+  // Interleaved pushes and pops: the popped prefix passes half the lane
+  // (compaction) many times over with items still queued behind it.
+  for (int round = 0; round < 20; ++round) {
+    for (int i = 0; i < 7; ++i) {
+      ASSERT_TRUE(queue.push(next, 1, "item", "int").ok());
+      expected.push_back(next++);
+    }
+    for (int i = 0; i < 5; ++i) popped.push_back(*queue.pop(Clock::now()));
+  }
+  for (int item : pop_every(queue)) popped.push_back(item);
+  EXPECT_EQ(popped, expected);
+}
+
+TEST(TwoLaneQueue, CapacityCountsLiveItemsNotPoppedShells) {
+  TwoLaneQueue<int> queue(4);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(queue.push(i, 1, "item", "int").ok());
+  }
+  EXPECT_EQ(queue.push(99, 1, "item", "int").code(),
+            StatusCode::kResourceExhausted);
+  // One pop leaves a moved-from shell before the lane head (not yet
+  // compacted: it is the smaller part); it must not hold a slot.
+  ASSERT_EQ(*queue.pop(Clock::now()), 0);
+  EXPECT_EQ(queue.size(), 3u);
+  EXPECT_TRUE(queue.push(4, 1, "item", "int").ok());
+  EXPECT_EQ(queue.push(99, 1, "item", "int").code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(pop_every(queue), (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(RequestQueue, PopCompatibleRemovesFromTheMiddle) {
+  RequestQueue queue(8);
+  for (const auto& [kernel, id] : std::vector<std::pair<std::string, int>>{
+           {"a", 1}, {"a", 2}, {"b", 3}, {"a", 4}, {"b", 5}}) {
+    ASSERT_TRUE(queue.push(make_pending(kernel, SlaClass::kThroughput,
+                                        static_cast<std::uint64_t>(id)))
+                    .ok());
+  }
+  ASSERT_EQ(queue.pop(Clock::now())->request.id, 1u);  // popped prefix
+  auto hit = queue.pop_compatible("b", SlaClass::kThroughput, Clock::now());
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->request.id, 3u);
+  std::vector<std::uint64_t> rest;
+  while (auto p = queue.pop(Clock::now())) rest.push_back(p->request.id);
+  EXPECT_EQ(rest, (std::vector<std::uint64_t>{2, 4, 5}));
 }
 
 TEST(TwoLaneQueue, PopAllPastDeadlineReturnsZero) {
@@ -184,7 +310,7 @@ TEST(TwoLaneQueue, WakeEndsOnePopAllWithoutClosing) {
   waker.join();
   // The wake-up was consumed and admission never stopped.
   EXPECT_FALSE(queue.closed());
-  ASSERT_TRUE(queue.push(7, 1, "item").ok());
+  ASSERT_TRUE(queue.push(7, 1, "item", "int").ok());
   EXPECT_EQ(queue.pop_all(Clock::time_point::max(), &out), 1u);
   EXPECT_EQ(out, std::vector<int>{7});
   // A wake() with no waiter ends the next wait instead of being lost.

@@ -86,6 +86,38 @@ TEST(Format, Crc32MatchesKnownVectorAndChains) {
   EXPECT_NE(crc32("123456789"), crc32("123456788"));
 }
 
+TEST(Format, Crc32SlicedPathMatchesBytewiseReference) {
+  // The textbook one-byte-at-a-time CRC-32 the eight-byte table path
+  // must reproduce for every length and alignment (the sliced loop and
+  // its bytewise tail split differently at each).
+  const auto reference = [](const unsigned char* p, std::size_t n,
+                            std::uint32_t seed) {
+    std::uint32_t c = seed ^ 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+      c ^= p[i];
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  std::vector<unsigned char> buf(64 + 8);
+  std::uint32_t x = 0x9E3779B9u;
+  for (unsigned char& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const unsigned char* p = buf.data() + offset;
+      ASSERT_EQ(crc32(p, len), reference(p, len, 0))
+          << "offset " << offset << " len " << len;
+      ASSERT_EQ(crc32(p, len, 0xDEADBEEFu), reference(p, len, 0xDEADBEEFu))
+          << "seeded, offset " << offset << " len " << len;
+    }
+  }
+}
+
 TEST(Format, ByteReaderIsBoundsChecked) {
   std::string buf;
   put_u32(buf, 7);

@@ -165,6 +165,147 @@ TEST(WindowedOperator, SlidingWindowFoldsIntoEveryCover) {
   EXPECT_DOUBLE_EQ(out[1].value, 1.0);
 }
 
+// ---- flat cell store vs an ordered-map reference ---------------------------
+
+/// The straightforward cell store: one std::map entry per (window end,
+/// key), so its iteration order IS the emission order. The operator under
+/// test must match it output for output.
+class MapReferenceOperator {
+ public:
+  MapReferenceOperator(WindowSpec spec, AccumulatorFactory factory)
+      : spec_(spec), factory_(std::move(factory)) {}
+
+  bool offer(const Event& event) {
+    std::vector<std::uint64_t> starts;
+    spec_.windows_of(event.event_time_us, &starts);
+    bool folded = false;
+    for (const std::uint64_t start : starts) {
+      const std::uint64_t end = start + spec_.size_us;
+      if (end <= watermark_) continue;
+      auto [it, inserted] = cells_.try_emplace({end, event.key});
+      if (inserted) {
+        it->second.start_us = start;
+        it->second.acc = factory_(event.key);
+      }
+      it->second.acc->add(event);
+      ++it->second.events;
+      folded = true;
+    }
+    return folded;
+  }
+
+  void advance_watermark(std::uint64_t watermark_us,
+                         std::vector<WindowOutput>* out) {
+    if (watermark_us <= watermark_) return;
+    watermark_ = watermark_us;
+    auto it = cells_.begin();
+    while (it != cells_.end() && it->first.first <= watermark_) {
+      WindowOutput output;
+      output.topic = "aq";
+      output.op = "ref";
+      output.key = it->first.second;
+      output.window_start_us = it->second.start_us;
+      output.window_end_us = it->first.first;
+      output.events = it->second.events;
+      output.value =
+          it->second.acc->finish(it->second.start_us, it->first.first);
+      out->push_back(std::move(output));
+      it = cells_.erase(it);
+    }
+  }
+
+  [[nodiscard]] std::size_t open_cells() const { return cells_.size(); }
+
+ private:
+  struct Cell {
+    std::uint64_t start_us = 0;
+    std::uint64_t events = 0;
+    std::unique_ptr<Accumulator> acc;
+  };
+  WindowSpec spec_;
+  AccumulatorFactory factory_;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, Cell> cells_;
+  std::uint64_t watermark_ = 0;
+};
+
+struct FoldCase {
+  const char* name;
+  WindowSpec spec;
+  friend void PrintTo(const FoldCase& c, std::ostream* os) { *os << c.name; }
+};
+
+class FlatCellStoreTest : public ::testing::TestWithParam<FoldCase> {};
+
+TEST_P(FlatCellStoreTest, MatchesOrderedMapReference) {
+  const WindowSpec spec = GetParam().spec;
+  const std::uint64_t slide = spec.effective_slide_us();
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Rng rng(seed);
+    WindowedOperator op("ref", "aq", spec, mean_accumulator());
+    MapReferenceOperator ref(spec, mean_accumulator());
+    // Sparse 64-bit keys; each phase draws from a sliding subset of the
+    // pool, so keys go quiet (their slots recycle) and new ones appear.
+    std::vector<std::uint64_t> pool(48);
+    for (std::uint64_t& key : pool) key = rng.next();
+    std::uint64_t frontier = spec.size_us;
+    std::size_t folded = 0;
+    std::size_t emitted = 0;
+    for (int i = 0; i < 6000; ++i) {
+      const std::size_t phase = static_cast<std::size_t>(i / 500);
+      const std::uint64_t key = pool[(phase * 4 + rng.uniform_int(16)) %
+                                     pool.size()];
+      // Mostly in order; 1 in 300 jumps the frontier past whole windows.
+      frontier += rng.uniform_int(i % 300 == 299 ? 6 * spec.size_us
+                                                 : slide / 4 + 1);
+      std::uint64_t t = frontier;
+      const double u = rng.uniform();
+      if (u < 0.01) {  // late: behind the lateness bound
+        t -= std::min(t, spec.allowed_lateness_us + slide +
+                             rng.uniform_int(spec.size_us));
+      } else if (u < 0.11) {  // out of order within the bound
+        t -= std::min(t, rng.uniform_int(spec.allowed_lateness_us + 1));
+      }
+      const Event event = make_event("aq", key, t, rng.uniform(0.0, 100.0));
+      const bool took = op.offer(event);
+      ASSERT_EQ(took, ref.offer(event)) << "seed " << seed << " event " << i;
+      folded += took ? 1 : 0;
+      std::vector<WindowOutput> got;
+      std::vector<WindowOutput> want;
+      const std::uint64_t watermark =
+          frontier > spec.allowed_lateness_us
+              ? frontier - spec.allowed_lateness_us
+              : 0;
+      op.advance_watermark(watermark, &got);
+      ref.advance_watermark(watermark, &want);
+      ASSERT_EQ(got, want) << "seed " << seed << " event " << i;
+      ASSERT_EQ(op.open_cells(), ref.open_cells());
+      emitted += got.size();
+    }
+    std::vector<WindowOutput> got;
+    std::vector<WindowOutput> want;
+    op.advance_watermark(frontier + 2 * spec.size_us, &got);
+    ref.advance_watermark(frontier + 2 * spec.size_us, &want);
+    EXPECT_EQ(got, want);
+    emitted += got.size();
+    EXPECT_EQ(op.open_cells(), 0u);
+    EXPECT_EQ(op.stats().windows_closed, emitted);
+    EXPECT_EQ(op.stats().events_in, folded);
+    EXPECT_GT(op.stats().late_dropped, 0u);
+    EXPECT_GT(emitted, 1000u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Specs, FlatCellStoreTest,
+    ::testing::Values(
+        FoldCase{"sliding", {WindowKind::kSliding, 1000, 100, 200}},
+        FoldCase{"sliding_uneven", {WindowKind::kSliding, 1000, 300, 150}},
+        FoldCase{"tumbling", {WindowKind::kTumbling, 500, 0, 100}},
+        FoldCase{"tumbling_no_lateness", {WindowKind::kTumbling, 400, 0, 0}}),
+    [](const ::testing::TestParamInfo<FoldCase>& info) {
+      return std::string(info.param.name);
+    });
+
 // ---- engine + lateness ----------------------------------------------------
 
 TEST(StreamEngine, AllowedLatenessHoldsWindowsOpen) {

@@ -18,7 +18,9 @@
 #      and ASan proves none of them leaks or double-frees. test_common
 #      runs here too, so the hostile-JSON (nesting-depth) cases execute
 #      under the sanitizers, and so does test_stream, whose pump moves
-#      batches of events between threads.
+#      batches of events between threads. test_serve joins them because
+#      TwoLaneQueue hands whole vector buffers between producer and
+#      consumer threads (pop_all's buffer swap).
 # Any failure aborts the script with a non-zero exit.
 set -euo pipefail
 
@@ -73,12 +75,12 @@ cmake --build "$ROOT/build-tsan" -j "$JOBS" \
   -R 'test_serve|test_obs|test_data|test_cluster|test_storage|test_stream|test_jit|test_runtime')
 
 echo
-echo "=== [5/5] ASan: storage + data + common + stream tests (leak + hostile input) ==="
+echo "=== [5/5] ASan: storage + data + common + stream + serve (leaks, hostile input) ==="
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DEVEREST_SANITIZE=address >/dev/null
 cmake --build "$ROOT/build-asan" -j "$JOBS" \
-  --target test_storage test_data test_common test_stream
+  --target test_storage test_data test_common test_stream test_serve
 (cd "$ROOT/build-asan" && ctest --output-on-failure -j "$JOBS" \
-  -R 'test_storage|test_data|test_common|test_stream')
+  -R 'test_storage|test_data|test_common|test_stream|test_serve')
 
 echo
 echo "check.sh: all gates passed."
