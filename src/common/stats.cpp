@@ -5,8 +5,12 @@
 namespace everest {
 
 double percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
   std::sort(values.begin(), values.end());
+  return percentile_of_sorted(values, p);
+}
+
+double percentile_of_sorted(const std::vector<double>& values, double p) {
+  if (values.empty()) return 0.0;
   if (p <= 0.0) return values.front();
   if (p >= 100.0) return values.back();
   const double rank = p / 100.0 * static_cast<double>(values.size() - 1);

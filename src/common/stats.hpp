@@ -104,6 +104,10 @@ class Ewma {
 /// Batch percentile (linear interpolation); p in [0,100]. Copies its input.
 double percentile(std::vector<double> values, double p);
 
+/// percentile() of input already sorted ascending: reads several
+/// percentiles of one sample set with one sort.
+double percentile_of_sorted(const std::vector<double>& sorted, double p);
+
 /// Arithmetic mean of a vector (0 for empty).
 double mean_of(const std::vector<double>& values);
 

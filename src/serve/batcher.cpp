@@ -16,8 +16,11 @@ bool Batcher::next_batch(Batch* out) {
                               ? policy_.lc_max_batch
                               : policy_.max_batch;
   // Fill until the cap; a flush deadline or close() ends the wait early
-  // (a lone request flushes at size 1).
-  const Clock::time_point flush_at = Clock::now() + policy_.max_wait;
+  // (a lone request flushes at size 1). The deadline counts from the
+  // head's admission, so a head that already queued max_wait behind a
+  // busy worker takes only what is queued instead of waiting again.
+  const Clock::time_point flush_at =
+      out->requests.front().request.enqueue_time + policy_.max_wait;
   while (out->requests.size() < cap) {
     auto more = queue_->pop_compatible(out->kernel, out->sla, flush_at);
     if (!more) break;

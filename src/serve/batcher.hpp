@@ -21,7 +21,9 @@ struct BatchPolicy {
   /// Latency-critical batches stay small so they never wait long.
   std::size_t lc_max_batch = 2;
   /// How long a partially filled batch may wait for more arrivals before
-  /// it is flushed (so a lone request still flushes, at size 1).
+  /// it is flushed (so a lone request still flushes, at size 1), counted
+  /// from the opening request's admission: a head that already queued
+  /// this long flushes with whatever compatible requests are queued.
   std::chrono::microseconds max_wait{500};
 };
 
@@ -35,7 +37,8 @@ struct Batch {
 
 /// Pulls from a RequestQueue and forms batches. Any number of threads may
 /// call next_batch() concurrently (the queue is the synchronization
-/// point); in the server one dispatcher thread drives it.
+/// point); in the server the workers take turns at it under one mutex,
+/// so one batch forms at a time, and each runs the batch it formed.
 class Batcher {
  public:
   Batcher(RequestQueue* queue, BatchPolicy policy)
@@ -43,8 +46,9 @@ class Batcher {
 
   /// Blocks until a batch is available or the queue is closed and empty.
   /// Returns false only on shutdown. The first popped request opens the
-  /// batch; compatible requests already queued (or arriving within
-  /// max_wait) join until the class's size cap is hit.
+  /// batch; compatible requests already queued (or arriving until
+  /// max_wait after the opening request's enqueue_time) join until the
+  /// class's size cap is hit.
   bool next_batch(Batch* out);
 
  private:

@@ -76,49 +76,44 @@ void ServingMetrics::record_feature(const std::string& kernel,
                                     double payload_scale,
                                     double service_share_us) {
   const int bucket = feature_bucket(payload_scale);
-  const obs::Labels tuple_labels = {{"kernel", kernel},
-                                    {"tenant", tenant},
-                                    {"bucket", std::to_string(bucket)}};
-  const std::string tuple_key =
-      obs::Registry::key_of("serve.feature", tuple_labels);
   FeatureInstruments instruments;
-  obs::Histogram* scale_hist = nullptr;
-  obs::Gauge* last_scale = nullptr;
+  KernelInstruments kernel_instruments;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = feature_cache_.find(tuple_key);
+    // Heterogeneous lookup: a hit builds no key, labels, or strings.
+    auto it = feature_cache_.find(std::tie(kernel, tenant, bucket));
     if (it == feature_cache_.end()) {
+      const obs::Labels tuple_labels = {{"kernel", kernel},
+                                        {"tenant", tenant},
+                                        {"bucket", std::to_string(bucket)}};
       FeatureInstruments fresh;
       fresh.requests =
           registry_.counter("serve.feature.requests", tuple_labels);
       fresh.service_us = registry_.histogram("serve.feature.service_us",
                                              latency_buckets(), tuple_labels);
-      it = feature_cache_.emplace(tuple_key, fresh).first;
+      it = feature_cache_.emplace(FeatureKey{kernel, tenant, bucket}, fresh)
+               .first;
     }
     instruments = it->second;
-    auto sit = feature_scale_cache_.find(kernel);
-    if (sit == feature_scale_cache_.end()) {
-      sit = feature_scale_cache_
-                .emplace(kernel,
-                         registry_.histogram("serve.feature.scale",
-                                             scale_buckets(),
-                                             {{"kernel", kernel}}))
-                .first;
+    auto kit = kernel_cache_.find(kernel);
+    if (kit == kernel_cache_.end()) {
+      KernelInstruments fresh;
+      fresh.scale = registry_.histogram("serve.feature.scale", scale_buckets(),
+                                        {{"kernel", kernel}});
       // kLastWrite pinned here, the registration site: an instantaneous
       // node-local value the cross-node rollup must drop, per the PR 9
       // GaugeKind contract.
-      feature_last_scale_cache_.emplace(
-          kernel, registry_.gauge("serve.feature.last_scale",
-                                  obs::GaugeKind::kLastWrite,
-                                  {{"kernel", kernel}}));
+      fresh.last_scale = registry_.gauge("serve.feature.last_scale",
+                                         obs::GaugeKind::kLastWrite,
+                                         {{"kernel", kernel}});
+      kit = kernel_cache_.emplace(kernel, fresh).first;
     }
-    scale_hist = sit->second;
-    last_scale = feature_last_scale_cache_.at(kernel);
+    kernel_instruments = kit->second;
   }
   instruments.requests->inc();
   instruments.service_us->record(service_share_us);
-  scale_hist->record(payload_scale);
-  last_scale->set(payload_scale);
+  kernel_instruments.scale->record(payload_scale);
+  kernel_instruments.last_scale->set(payload_scale);
 }
 
 void ServingMetrics::record_completion(SlaClass sla, double latency_us) {
@@ -143,28 +138,35 @@ MetricsSnapshot ServingMetrics::snapshot() const {
   snap.input_stall_us = input_stall_us_->value();
   snap.max_queue_depth = static_cast<std::size_t>(max_queue_depth_->value());
 
-  std::lock_guard<std::mutex> lock(mu_);
-  snap.batch_histogram = batch_sizes_;
+  // Copy under the lock, sort outside it: record_completion() on the
+  // workers waits only for the copy.
+  std::vector<double> lc, tp;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    snap.batch_histogram = batch_sizes_;
+    lc = latencies_us_[0];
+    tp = latencies_us_[1];
+    snap.service_mean_us = service_us_.mean();
+    snap.mean_batch_size = batch_size_.mean();
+  }
   snap.batches = 0;
-  for (const auto& [size, n] : batch_sizes_) snap.batches += n;
-  std::vector<double> all;
-  all.reserve(latencies_us_[0].size() + latencies_us_[1].size());
-  all.insert(all.end(), latencies_us_[0].begin(), latencies_us_[0].end());
-  all.insert(all.end(), latencies_us_[1].begin(), latencies_us_[1].end());
+  for (const auto& [size, n] : snap.batch_histogram) snap.batches += n;
+  // The mean sums LC then TP in arrival order, as over their concatenation.
+  double sum = 0.0;
+  for (double v : lc) sum += v;
+  for (double v : tp) sum += v;
+  std::sort(lc.begin(), lc.end());
+  std::sort(tp.begin(), tp.end());
+  std::vector<double> all(lc.size() + tp.size());
+  std::merge(lc.begin(), lc.end(), tp.begin(), tp.end(), all.begin());
   if (!all.empty()) {
-    snap.p50_us = percentile(all, 50.0);
-    snap.p99_us = percentile(all, 99.0);
-    snap.mean_us = mean_of(all);
-    snap.max_us = *std::max_element(all.begin(), all.end());
+    snap.p50_us = percentile_of_sorted(all, 50.0);
+    snap.p99_us = percentile_of_sorted(all, 99.0);
+    snap.mean_us = sum / static_cast<double>(all.size());
+    snap.max_us = all.back();
   }
-  if (!latencies_us_[0].empty()) {
-    snap.lc_p99_us = percentile(latencies_us_[0], 99.0);
-  }
-  if (!latencies_us_[1].empty()) {
-    snap.tp_p99_us = percentile(latencies_us_[1], 99.0);
-  }
-  snap.service_mean_us = service_us_.mean();
-  snap.mean_batch_size = batch_size_.mean();
+  if (!lc.empty()) snap.lc_p99_us = percentile_of_sorted(lc, 99.0);
+  if (!tp.empty()) snap.tp_p99_us = percentile_of_sorted(tp, 99.0);
   return snap;
 }
 

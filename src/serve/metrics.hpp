@@ -4,13 +4,15 @@
 // (for true percentiles) and per-class log-bucketed histograms (for
 // mergeable, export-friendly tails). Only the reservoirs and the
 // batch-size map still sit behind the mutex. A Snapshot is a consistent
-// copy — cheap enough at bench scale and immune to torn reads.
+// copy, immune to torn reads: snapshot() copies the reservoirs under the
+// mutex and sorts them outside it, so recording never waits on a sort.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -68,7 +70,7 @@ struct MetricsSnapshot {
   }
 };
 
-/// Thread-safe metrics sink shared by admission, dispatcher, and workers.
+/// Thread-safe metrics sink shared by admission and the workers.
 class ServingMetrics {
  public:
   ServingMetrics();
@@ -97,8 +99,8 @@ class ServingMetrics {
   ///     value; summing or maxing it across nodes means nothing, so the
   ///     rollup contract drops it from merges).
   /// Instrument pointers are cached per (kernel, tenant, bucket) so the
-  /// registry's find-or-create mutex is paid once per new tuple, not per
-  /// request.
+  /// registry's find-or-create mutex, and every label and key string, is
+  /// paid once per new tuple, not per request.
   void record_feature(const std::string& kernel, const std::string& tenant,
                       double payload_scale, double service_share_us);
 
@@ -139,15 +141,21 @@ class ServingMetrics {
   OnlineStats service_us_;
   OnlineStats batch_size_;
 
-  /// Cached feature instruments, keyed by the canonical registry key of
-  /// the (kernel, tenant, bucket) tuple. Guarded by mu_.
+  /// Cached feature instruments per (kernel, tenant, bucket) tuple,
+  /// found by std::tie of the caller's strings without building a key.
+  /// Guarded by mu_.
+  using FeatureKey = std::tuple<std::string, std::string, int>;
   struct FeatureInstruments {
     obs::Counter* requests = nullptr;
     obs::Histogram* service_us = nullptr;
   };
-  std::map<std::string, FeatureInstruments> feature_cache_;
-  std::map<std::string, obs::Histogram*> feature_scale_cache_;
-  std::map<std::string, obs::Gauge*> feature_last_scale_cache_;
+  std::map<FeatureKey, FeatureInstruments, std::less<>> feature_cache_;
+  /// Per-kernel shape instruments. Guarded by mu_.
+  struct KernelInstruments {
+    obs::Histogram* scale = nullptr;
+    obs::Gauge* last_scale = nullptr;
+  };
+  std::map<std::string, KernelInstruments, std::less<>> kernel_cache_;
 };
 
 }  // namespace everest::serve

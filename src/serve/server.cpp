@@ -128,8 +128,10 @@ Status Server::start() {
     running_.store(false);
     return FailedPrecondition("no endpoints registered");
   }
-  pool_ = std::make_unique<ThreadPool>(options_.worker_threads);
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
+  workers_.reserve(options_.worker_threads);
+  for (std::size_t i = 0; i < options_.worker_threads; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
+  }
   EVEREST_LOG(kInfo, "serve") << "server started: " << endpoints_.size()
                               << " endpoints, " << options_.worker_threads
                               << " workers, queue capacity "
@@ -193,49 +195,35 @@ Status Server::submit(Request request, ResponseCallback on_done) {
   return OkStatus();
 }
 
-void Server::dispatch_loop() {
-  // At most 2 batches per worker may be in flight (executing or handed to
-  // the pool). Without this cap the dispatcher would drain the bounded
-  // admission queue into the pool's unbounded task queue, hiding the
-  // backlog from admission control and unbounding p99 under overload.
-  const std::size_t max_inflight = 2 * options_.worker_threads;
+void Server::worker_loop() {
+  // A worker holds at most one batch: while every worker is busy, requests
+  // wait in the admission queue, where capacity rejection, SLA-priority
+  // popping, and deadline aging all still apply.
   Batch batch;
   for (;;) {
-    // Backpressure first, batch formation second: while the pool is busy,
-    // requests wait in the admission queue, where capacity rejection,
-    // SLA-priority popping, and deadline aging all still apply.
     {
-      std::unique_lock<std::mutex> lock(progress_mu_);
-      progress_cv_.wait(lock, [&] {
-        return inflight_batches_.load(std::memory_order_acquire) <
-               max_inflight;
-      });
+      std::lock_guard<std::mutex> lock(form_mu_);
+      if (!batcher_->next_batch(&batch)) return;
     }
-    if (!batcher_->next_batch(&batch)) break;
-    inflight_batches_.fetch_add(1, std::memory_order_acq_rel);
-    pool_->submit([this, moved = std::move(batch)]() mutable {
-      execute_batch(std::move(moved));
-      {
-        std::lock_guard<std::mutex> lock(progress_mu_);
-        inflight_batches_.fetch_sub(1, std::memory_order_acq_rel);
-      }
-      progress_cv_.notify_all();
-    });
-    batch = Batch{};
+    executing_batches_.fetch_add(1, std::memory_order_relaxed);
+    execute_batch(batch);
+    executing_batches_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
-void Server::execute_batch(Batch batch) {
+void Server::execute_batch(Batch& batch) {
   const Clock::time_point dispatch_time = Clock::now();
   obs::Tracer* tracer = options_.tracer;
 
   // SLA enforcement: answers after the deadline are worthless, so expired
-  // requests are dropped here instead of burning handler time.
-  std::vector<PendingRequest> live;
-  live.reserve(batch.requests.size());
-  for (PendingRequest& pending : batch.requests) {
+  // requests are dropped here instead of burning handler time. Live
+  // requests are compacted to the front in order.
+  std::size_t live = 0;
+  for (std::size_t i = 0; i < batch.requests.size(); ++i) {
+    PendingRequest& pending = batch.requests[i];
     if (dispatch_time <= pending.request.deadline) {
-      live.push_back(std::move(pending));
+      if (i != live) batch.requests[live] = std::move(pending);
+      ++live;
       continue;
     }
     const std::string queued = std::to_string(static_cast<long>(
@@ -245,7 +233,7 @@ void Server::execute_batch(Batch batch) {
                "request expired before dispatch (queued " + queued + " us)")},
           Outcome::kExpired, dispatch_time, dispatch_time);
   }
-  batch.requests = std::move(live);
+  batch.requests.resize(live);
   if (batch.requests.empty()) return;
 
   // Stage request inputs through the input cache before compute: warm
@@ -261,11 +249,15 @@ void Server::execute_batch(Batch batch) {
   // (shared knowledge base; its internal mutex makes this reentrant).
   runtime::SystemState state;
   state.fpgas_available = options_.fpgas_available;
-  state.fpga_queue_depth =
-      static_cast<double>(inflight_batches_.load(std::memory_order_acquire));
+  // Batches executing, this one included; backlog waiting for a worker,
+  // capped at one batch per worker (the range the signal had when batches
+  // queued for a pool).
+  state.fpga_queue_depth = static_cast<double>(
+      executing_batches_.load(std::memory_order_relaxed));
+  const std::size_t workers = options_.worker_threads;
   state.cpu_load =
-      std::min(0.95, static_cast<double>(pool_->pending()) /
-                         static_cast<double>(pool_->thread_count() + 1));
+      std::min(0.95, static_cast<double>(std::min(queue_->size(), workers)) /
+                         static_cast<double>(workers + 1));
   double scale = 0.0;
   for (const PendingRequest& pending : batch.requests) {
     scale += pending.request.payload_scale;
@@ -502,11 +494,13 @@ void Server::resume_admission() {
 
 void Server::stop() {
   if (!running_.exchange(false)) return;
-  // Let admitted work finish, then unblock the dispatcher.
+  // Let admitted work finish, then close the queue: the worker blocked in
+  // batch formation wakes to an empty closed queue and exits, and so does
+  // each worker that takes form_mu_ after it.
   wait_drained();
   queue_->close();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  pool_->shutdown();
+  for (std::thread& worker : workers_) worker.join();
+  workers_.clear();
   EVEREST_LOG(kInfo, "serve") << "server stopped";
 }
 

@@ -1,13 +1,16 @@
 // The serving front door over the EVEREST runtime (the Fig. 2 loop under
-// concurrent traffic): submit() applies admission control and enqueues; a
-// dispatcher thread forms batches per the coalescing policy; a worker
-// pool executes batches — each batch runs the mARGOt-style autotuner to
-// pick a variant for the batch's kernel under the *live* system state
-// (queue depth, worker occupancy), executes the endpoint handler for
-// real, and feeds the measured service time back into the shared
-// knowledge base. SLA classes steer both batching (latency-critical
-// batches stay small and jump the queue) and deadline handling (expired
-// requests are dropped at dispatch, not executed late).
+// concurrent traffic): submit() applies admission control and enqueues;
+// each worker thread forms a batch per the coalescing policy and runs it
+// itself. Workers take turns at batch formation under one mutex, so one
+// batch forms at a time while others execute, and a worker holds at most
+// one batch: the backlog stays in the bounded admission queue, visible to
+// admission control. Each batch runs the mARGOt-style autotuner to pick a
+// variant for the batch's kernel under the *live* system state (batches
+// executing, backlog per worker), executes the endpoint handler for real,
+// and feeds the measured service time back into the shared knowledge
+// base. SLA classes steer both batching (latency-critical batches stay
+// small and jump the queue) and deadline handling (expired requests are
+// dropped at dispatch, not executed late).
 #pragma once
 
 #include <algorithm>
@@ -17,6 +20,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "data/cache.hpp"
 #include "obs/trace.hpp"
@@ -28,14 +32,13 @@
 #include "serve/endpoints.hpp"
 #include "serve/metrics.hpp"
 #include "serve/request_queue.hpp"
-#include "serve/thread_pool.hpp"
 
 namespace everest::serve {
 
 struct ServerOptions {
   /// Admission bound: requests beyond this are rejected, not buffered.
   std::size_t queue_capacity = 256;
-  /// Worker threads executing batches.
+  /// Worker threads; each forms a batch, then executes it.
   std::size_t worker_threads = 2;
   BatchPolicy batch;
   /// Autotuner objective for throughput-class batches. Latency-critical
@@ -110,7 +113,8 @@ class Server {
   /// knowledge base. Must be called before start().
   Status register_endpoint(Endpoint endpoint);
 
-  /// Spins up the dispatcher and the worker pool.
+  /// Spins up the worker threads; each loops forming a batch and
+  /// executing it.
   Status start();
 
   /// Admission: stamps id/enqueue time and enqueues. Returns
@@ -120,7 +124,7 @@ class Server {
   /// stop(). On OK the callback fires exactly once, from a worker thread.
   Status submit(Request request, ResponseCallback on_done);
 
-  /// Waits until the queue is empty and all in-flight batches finished.
+  /// Waits until every admitted request has had its response delivered.
   void drain();
 
   /// Graceful drain for failover/rebalance: atomically seals admission
@@ -140,7 +144,9 @@ class Server {
     return draining_.load(std::memory_order_acquire);
   }
 
-  /// drain() + stop dispatcher + join workers (idempotent).
+  /// drain(), then closes the queue, which ends the worker blocked in
+  /// batch formation and every worker that reaches it next, and joins
+  /// them (idempotent).
   void stop();
 
   [[nodiscard]] const ServingMetrics& metrics() const { return metrics_; }
@@ -204,8 +210,10 @@ class Server {
     obs::Annotations annotations;
   };
 
-  void dispatch_loop();
-  void execute_batch(Batch batch);
+  /// One worker: form a batch under form_mu_, execute it, repeat until
+  /// the queue closes.
+  void worker_loop();
+  void execute_batch(Batch& batch);
   /// The one reply path: records the outcome metric, emits the request's
   /// span chain (batch/execute/reply only with an `execution`), fires
   /// on_done, and counts the request finished, waking waiters.
@@ -227,8 +235,8 @@ class Server {
 
   std::unique_ptr<RequestQueue> queue_;
   std::unique_ptr<Batcher> batcher_;
-  std::unique_ptr<ThreadPool> pool_;
-  std::thread dispatcher_;
+  /// Held by the worker forming a batch, fill wait included.
+  std::mutex form_mu_;
 
   resilience::CircuitBreakerBoard breakers_;
   std::atomic<bool> degraded_{false};
@@ -244,20 +252,22 @@ class Server {
 
   ServingMetrics metrics_;
   std::atomic<std::uint64_t> next_id_{1};
-  std::atomic<std::size_t> inflight_batches_{0};
+  /// Batches past formation and not yet replied (the FPGA queue signal).
+  std::atomic<std::size_t> executing_batches_{0};
   /// Requests past admission vs. requests with a delivered response;
-  /// equality is the drain condition (a queue/pool emptiness check would
-  /// miss requests held inside a forming batch).
+  /// equality is the drain condition (a queue emptiness check would miss
+  /// requests held inside a forming or executing batch).
   std::atomic<std::uint64_t> admitted_requests_{0};
   std::atomic<std::uint64_t> finished_requests_{0};
-  /// Signalled when a batch or a request finishes; the in-flight cap and
-  /// the drain wait block on it. inflight_batches_ falls and
-  /// finished_requests_ rises only under it, so no wake-up is lost; the
-  /// counters' other moves only make a waiter's predicate false.
+  /// Signalled when a request finishes; the drain wait blocks on it.
+  /// finished_requests_ rises only under it, so no wake-up is lost;
+  /// admitted_requests_ rising only makes a waiter's predicate false.
   std::mutex progress_mu_;
   std::condition_variable progress_cv_;
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
+  /// Declared last: the workers use every member above; stop() joins them.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace everest::serve

@@ -577,10 +577,13 @@ TEST(Federation, CrashFailoverThenRejoinKeepsKeyedTrafficAvailable) {
   EXPECT_EQ(a1, 24);
 
   // Detection declares node 0 dead and rebuilds the map within the
-  // detection interval (bounded poll: CI machines stall).
+  // detection interval (bounded poll: CI machines stall). The pump
+  // publishes the dead view before it rebuilds the map, so the poll
+  // waits for the rebuild too.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (federation.membership().view()->health[0] != Health::kDead &&
+  while ((federation.membership().view()->health[0] != Health::kDead ||
+          federation.stats().rebuilds < 1) &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }

@@ -1,12 +1,15 @@
 // Tests for the serving layer: queue admission/backpressure, SLA-priority
 // ordering, batch-formation boundaries (size-1 timeout flush, full-batch
-// flush), deadline expiry, thread-pool basics, metrics, a TEST_P sweep
-// over SLA mixes, and a multi-producer smoke test asserting no request is
-// lost or duplicated. Timing assertions are deliberately loose: CI may
+// flush, flush deadline counted from admission), deadline expiry, workers
+// forming their own batches, metrics, a TEST_P sweep over SLA mixes, and
+// a multi-producer smoke test asserting no request is lost or
+// duplicated. Timing assertions are deliberately loose: CI may
 // run on one core, so tests check ordering and accounting, not speed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
 #include <latch>
 #include <mutex>
 #include <set>
@@ -421,32 +424,27 @@ TEST(Batcher, ArrivalDuringFillWaitJoinsAndFullBatchReturnsEarly) {
   EXPECT_LT(waited, std::chrono::milliseconds(150));
 }
 
-// ---------------------------------------------------------- thread pool
-
-TEST(ThreadPool, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 200);
-  EXPECT_EQ(pool.pending(), 0u);
-  // Pool is reusable after wait_idle.
-  pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 201);
-}
-
-TEST(ThreadPool, ShutdownDrainsQueuedWork) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&counter] { counter.fetch_add(1); });
-    }
-  }  // destructor = shutdown: must have drained, not dropped
-  EXPECT_EQ(counter.load(), 50);
+TEST(Batcher, HeadQueuedPastMaxWaitFlushesWithWhatIsQueued) {
+  RequestQueue queue(32);
+  BatchPolicy policy;
+  policy.max_batch = 8;
+  policy.max_wait = std::chrono::milliseconds(200);
+  Batcher batcher(&queue, policy);
+  // The head was admitted a second ago (it queued behind a busy worker):
+  // its flush deadline, counted from admission, has long passed.
+  PendingRequest head = make_pending("k", SlaClass::kThroughput, 1);
+  head.request.enqueue_time = Clock::now() - std::chrono::seconds(1);
+  ASSERT_TRUE(queue.push(std::move(head)).ok());
+  ASSERT_TRUE(queue.push(make_pending("k", SlaClass::kThroughput, 2)).ok());
+  Batch batch;
+  const auto start = Clock::now();
+  ASSERT_TRUE(batcher.next_batch(&batch));
+  const auto waited = Clock::now() - start;
+  // The queued compatible request joins; no fill wait follows.
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch.requests[0].request.id, 1u);
+  EXPECT_EQ(batch.requests[1].request.id, 2u);
+  EXPECT_LT(waited, std::chrono::milliseconds(150));
 }
 
 // -------------------------------------------------------------- metrics
@@ -475,6 +473,31 @@ TEST(ServingMetrics, SnapshotAggregates) {
   EXPECT_EQ(snap.max_queue_depth, 3u);
   metrics.reset();
   EXPECT_EQ(metrics.snapshot().submitted, 0u);
+}
+
+TEST(ServingMetrics, SnapshotLatenciesAreBitIdenticalToThePerCallReference) {
+  ServingMetrics metrics;
+  std::vector<double> lc, tp;
+  std::uint64_t state = 12345;
+  for (int i = 0; i < 1000; ++i) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    const double latency = static_cast<double>(state >> 40) / 97.0;
+    const bool is_lc = (state >> 20) % 3 == 0;
+    (is_lc ? lc : tp).push_back(latency);
+    metrics.record_completion(
+        is_lc ? SlaClass::kLatencyCritical : SlaClass::kThroughput, latency);
+  }
+  // The reference: percentile() and mean_of() over the unsorted arrival
+  // order, LC samples first.
+  std::vector<double> all = lc;
+  all.insert(all.end(), tp.begin(), tp.end());
+  const MetricsSnapshot snap = metrics.snapshot();
+  EXPECT_EQ(snap.p50_us, percentile(all, 50.0));
+  EXPECT_EQ(snap.p99_us, percentile(all, 99.0));
+  EXPECT_EQ(snap.mean_us, mean_of(all));
+  EXPECT_EQ(snap.max_us, *std::max_element(all.begin(), all.end()));
+  EXPECT_EQ(snap.lc_p99_us, percentile(lc, 99.0));
+  EXPECT_EQ(snap.tp_p99_us, percentile(tp, 99.0));
 }
 
 // --------------------------------------------------------------- server
@@ -856,7 +879,7 @@ TEST(Server, DegradedModeShedsThroughputClassAtAdmission) {
   EXPECT_GE(server.metrics().snapshot().unavailable, 2u);
 }
 
-TEST(Server, BackpressureCapsInFlightBatchesAtTwoPerWorker) {
+TEST(Server, BackpressureKeepsOneBatchInFlightPerWorker) {
   runtime::KnowledgeBase kb;
   ServerOptions options;
   options.worker_threads = 1;
@@ -886,15 +909,15 @@ TEST(Server, BackpressureCapsInFlightBatchesAtTwoPerWorker) {
                             })
                     .ok());
   }
-  // One batch blocks the only worker and one waits in the pool; the
-  // dispatcher holds off, so the other 8 stay in the admission queue.
+  // One batch blocks the only worker, which forms no other batch until
+  // it returns, so the other 9 stay in the admission queue.
   const auto until = Clock::now() + std::chrono::seconds(10);
-  while (server.queue_depth() != 8 && Clock::now() < until) {
+  while (server.queue_depth() != 9 && Clock::now() < until) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(server.queue_depth(), 8u);
+  EXPECT_EQ(server.queue_depth(), 9u);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(server.queue_depth(), 8u);  // settled: no third batch left
+  EXPECT_EQ(server.queue_depth(), 9u);  // settled: no second batch left
 
   gate.count_down();
   server.drain();
@@ -903,6 +926,134 @@ TEST(Server, BackpressureCapsInFlightBatchesAtTwoPerWorker) {
   EXPECT_EQ(std::set<std::uint64_t>(replied.begin(), replied.end()).size(),
             10u);  // every request answered exactly once
   EXPECT_EQ(server.metrics().snapshot().completed, 10u);
+}
+
+/// test_endpoint() whose handler blocks on `gate` for a batch holding a
+/// request with seed `blocked_seed`, raising `entered` first.
+Endpoint gated_endpoint(std::latch* gate, std::atomic<bool>* entered,
+                        std::uint64_t blocked_seed) {
+  Endpoint endpoint = test_endpoint();
+  endpoint.handler = [gate, entered, blocked_seed,
+                      inner = endpoint.handler](const Batch& batch,
+                                                std::vector<double>* values) {
+    for (const PendingRequest& pending : batch.requests) {
+      if (pending.request.seed == blocked_seed) {
+        entered->store(true);
+        gate->wait();
+      }
+    }
+    return inner(batch, values);
+  };
+  return endpoint;
+}
+
+/// Polls `done` for up to 10 s (CI machines stall); returns its value.
+bool wait_for(const std::function<bool()>& done) {
+  const auto until = Clock::now() + std::chrono::seconds(10);
+  while (!done() && Clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+TEST(Server, SecondWorkerFormsAndRunsABatchWhileOneHandlerBlocks) {
+  runtime::KnowledgeBase kb;
+  ServerOptions options;
+  options.worker_threads = 2;
+  options.batch.max_batch = 1;
+  Server server(options, &kb);
+  std::latch gate(1);
+  std::atomic<bool> entered{false};
+  ASSERT_TRUE(
+      server.register_endpoint(gated_endpoint(&gate, &entered, 0)).ok());
+  ASSERT_TRUE(server.start().ok());
+
+  std::atomic<int> replies{0};
+  std::atomic<bool> second_ok{false};
+  Request blocked;
+  blocked.kernel = "test_kernel";
+  blocked.seed = 0;
+  ASSERT_TRUE(
+      server.submit(blocked, [&](const Response&) { replies.fetch_add(1); })
+          .ok());
+  ASSERT_TRUE(wait_for([&] { return entered.load(); }));
+
+  Request other;
+  other.kernel = "test_kernel";
+  other.seed = 7;
+  ASSERT_TRUE(server
+                  .submit(other,
+                          [&](const Response& response) {
+                            second_ok.store(response.status.ok() &&
+                                            response.value == 7.0);
+                            replies.fetch_add(1);
+                          })
+                  .ok());
+  // The second request is answered while the first handler still blocks:
+  // the idle worker formed and ran its batch on its own.
+  EXPECT_TRUE(wait_for([&] { return replies.load() == 1; }));
+  EXPECT_TRUE(second_ok.load());
+  EXPECT_EQ(server.metrics().snapshot().completed, 1u);
+
+  gate.count_down();
+  server.stop();
+  EXPECT_EQ(replies.load(), 2);
+  EXPECT_EQ(server.metrics().snapshot().completed, 2u);
+}
+
+TEST(Server, StopReturnsWithWorkersInFormationAndInAHandler) {
+  runtime::KnowledgeBase kb;
+  ServerOptions options;
+  options.worker_threads = 2;
+  options.batch.max_batch = 4;
+  options.batch.max_wait = std::chrono::milliseconds(50);
+  Server server(options, &kb);
+  std::latch gate(1);
+  std::atomic<bool> entered{false};
+  ASSERT_TRUE(
+      server.register_endpoint(gated_endpoint(&gate, &entered, 0)).ok());
+  ASSERT_TRUE(server.start().ok());
+
+  std::mutex mu;
+  std::multiset<std::uint64_t> replied;
+  const auto submit = [&](std::uint64_t seed) {
+    Request request;
+    request.kernel = "test_kernel";
+    request.seed = seed;
+    return server.submit(request, [&](const Response& response) {
+      std::lock_guard<std::mutex> lock(mu);
+      replied.insert(response.id);
+    });
+  };
+  const auto replies = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return replied.size();
+  };
+  // One worker blocks inside the handler; the other opens a batch with
+  // the next request and sits in its fill wait (batch formation).
+  ASSERT_TRUE(submit(0).ok());
+  ASSERT_TRUE(wait_for([&] { return entered.load(); }));
+  ASSERT_TRUE(submit(1).ok());
+
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    server.stop();
+    stopped.store(true);
+  });
+  // stop() drains first: the filling batch flushes at max_wait and is
+  // answered, but the blocked handler holds stop() back.
+  EXPECT_TRUE(wait_for([&] { return replies() == 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(stopped.load());
+  // The free worker is now blocked in batch formation on an empty queue;
+  // releasing the handler lets stop() close the queue and join both.
+  gate.count_down();
+  EXPECT_TRUE(wait_for([&] { return stopped.load(); }));
+  stopper.join();
+  EXPECT_EQ(replied.size(), 2u);
+  EXPECT_EQ(std::set<std::uint64_t>(replied.begin(), replied.end()).size(),
+            2u);  // every admitted request answered exactly once
+  EXPECT_EQ(submit(2).code(), StatusCode::kFailedPrecondition);
 }
 
 // ------------------------------------------------------ span chains

@@ -20,7 +20,9 @@
 #      under the sanitizers, and so does test_stream, whose pump moves
 #      batches of events between threads. test_serve joins them because
 #      TwoLaneQueue hands whole vector buffers between producer and
-#      consumer threads (pop_all's buffer swap).
+#      consumer threads (pop_all's buffer swap), and so does
+#      test_cluster, whose federation servers form and run batches on
+#      their own worker threads.
 # Any failure aborts the script with a non-zero exit.
 set -euo pipefail
 
@@ -75,12 +77,13 @@ cmake --build "$ROOT/build-tsan" -j "$JOBS" \
   -R 'test_serve|test_obs|test_data|test_cluster|test_storage|test_stream|test_jit|test_runtime')
 
 echo
-echo "=== [5/5] ASan: storage + data + common + stream + serve (leaks, hostile input) ==="
+echo "=== [5/5] ASan: storage + data + common + stream + serve + cluster (leaks, hostile input) ==="
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DEVEREST_SANITIZE=address >/dev/null
 cmake --build "$ROOT/build-asan" -j "$JOBS" \
-  --target test_storage test_data test_common test_stream test_serve
+  --target test_storage test_data test_common test_stream test_serve \
+  test_cluster
 (cd "$ROOT/build-asan" && ctest --output-on-failure -j "$JOBS" \
-  -R 'test_storage|test_data|test_common|test_stream|test_serve')
+  -R 'test_storage|test_data|test_common|test_stream|test_serve|test_cluster')
 
 echo
 echo "check.sh: all gates passed."
