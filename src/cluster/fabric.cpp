@@ -42,16 +42,4 @@ double ForwardFabric::hop_us(std::size_t src, std::size_t dst,
   return backlog_us + (done_at - start);
 }
 
-FabricStats ForwardFabric::stats() const {
-  FabricStats out;
-  for (const auto& l : links_) {
-    if (l == nullptr) continue;
-    std::lock_guard<std::mutex> lock(l->mu);
-    out.bytes_moved += l->channel->bytes_moved();
-    out.transfers += l->channel->transfers_completed();
-    out.busy_flow_us += l->channel->busy_flow_us();
-  }
-  return out;
-}
-
 }  // namespace everest::cluster

@@ -5,14 +5,12 @@
 // link pushed that link's simulation clock ahead of the wall, the new
 // hop inherits the difference as queueing delay before its own transfer
 // time — an M/G/1-style FIFO link under load, exact LinkModel cost when
-// idle. The LinkChannels keep the real cost books (bytes moved,
-// transfers, flow-time integral) that the federation exports.
+// idle.
 //
 // Per-link locking: hops on distinct node pairs never contend.
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -21,14 +19,6 @@
 #include "platform/links.hpp"
 
 namespace everest::cluster {
-
-struct FabricStats {
-  double bytes_moved = 0.0;
-  std::uint64_t transfers = 0;
-  /// Sum over links of the time-integral of in-flight payloads (µs) — a
-  /// fabric-wide congestion measure.
-  double busy_flow_us = 0.0;
-};
 
 class ForwardFabric {
  public:
@@ -39,10 +29,6 @@ class ForwardFabric {
   /// that link + the transfer itself. Does not sleep — callers charge
   /// the cost where it belongs (the forwarded request's latency).
   double hop_us(std::size_t src, std::size_t dst, double bytes);
-
-  [[nodiscard]] FabricStats stats() const;
-  [[nodiscard]] const platform::LinkModel& model() const { return model_; }
-  [[nodiscard]] std::size_t num_nodes() const { return n_; }
 
  private:
   /// One directed link: its own simulator so backlog on (a, b) never

@@ -132,7 +132,10 @@ Status Federation::start() {
   for (std::size_t i = 0; i < options_.num_nodes; ++i) {
     membership_->heartbeat(i, now);
   }
-  pump_running_.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(pump_mu_);
+    pump_running_ = true;
+  }
   pump_ = std::thread([this] { pump_loop(); });
   EVEREST_LOG(kInfo, "cluster")
       << "federation started: " << options_.num_nodes << " nodes, "
@@ -313,7 +316,11 @@ void Federation::drain() {
 
 void Federation::stop() {
   if (!running_.exchange(false)) return;
-  pump_running_.store(false, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(pump_mu_);
+    pump_running_ = false;
+  }
+  pump_wake_.notify_all();
   if (pump_.joinable()) pump_.join();
   for (auto& server : servers_) server->drain_gracefully();
   for (auto& server : servers_) server->stop();
@@ -395,7 +402,12 @@ void Federation::restart(std::size_t node) {
 
 void Federation::pump_loop() {
   std::vector<double> last_hb(options_.num_nodes, -1e18);
-  while (pump_running_.load(std::memory_order_acquire)) {
+  const auto period = std::chrono::microseconds(
+      static_cast<std::int64_t>(options_.pump_period_us));
+  std::unique_lock<std::mutex> lock(pump_mu_);
+  while (pump_running_) {
+    lock.unlock();
+    const auto next_tick = std::chrono::steady_clock::now() + period;
     const double now = now_us();
     for (std::size_t i = 0; i < options_.num_nodes; ++i) {
       if (crashed(i)) continue;
@@ -425,8 +437,8 @@ void Federation::pump_loop() {
       }
     }
     if (rebuild) rebuild_shard_map(reason);
-    std::this_thread::sleep_for(std::chrono::microseconds(
-        static_cast<std::int64_t>(options_.pump_period_us)));
+    lock.lock();
+    pump_wake_.wait_until(lock, next_tick, [this] { return !pump_running_; });
   }
 }
 

@@ -29,8 +29,10 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -179,7 +181,6 @@ class Federation {
   [[nodiscard]] std::size_t num_nodes() const { return options_.num_nodes; }
   [[nodiscard]] FederationStats stats() const;
   [[nodiscard]] const obs::Registry& registry() const { return registry_; }
-  [[nodiscard]] const ForwardFabric& fabric() const { return *fabric_; }
   /// Silence → declared-dead bound plus one pump period.
   [[nodiscard]] double detection_interval_us() const {
     return membership_->detection_interval_us() + options_.pump_period_us;
@@ -220,9 +221,13 @@ class Federation {
   /// Heap-allocated so the vector never relocates a live atomic.
   std::vector<std::unique_ptr<std::atomic<bool>>> crashed_;
 
-  std::thread pump_;
   std::atomic<bool> running_{false};
-  std::atomic<bool> pump_running_{false};
+  /// The pump waits on pump_wake_ between ticks; stop() clears
+  /// pump_running_ under pump_mu_ and notifies, so it returns at once.
+  std::mutex pump_mu_;
+  std::condition_variable pump_wake_;
+  bool pump_running_ = false;
+  std::thread pump_;
 
   // ---- instruments (owned registry; pointers cached at construction) --
   obs::Registry registry_;

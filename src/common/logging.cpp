@@ -23,6 +23,13 @@ std::string_view level_name(LogLevel level) {
   }
   return "?";
 }
+
+/// Small dense id of the calling thread (0, 1, 2, ... in first-log order).
+std::uint32_t thread_id() {
+  static std::atomic<std::uint32_t> next{0};
+  thread_local std::uint32_t id = next.fetch_add(1, std::memory_order_relaxed);
+  return id;
+}
 }  // namespace
 
 std::int64_t Logger::monotonic_us() {
@@ -31,12 +38,6 @@ std::int64_t Logger::monotonic_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                                epoch)
       .count();
-}
-
-std::uint32_t Logger::thread_id() {
-  static std::atomic<std::uint32_t> next{0};
-  thread_local std::uint32_t id = next.fetch_add(1, std::memory_order_relaxed);
-  return id;
 }
 
 void Logger::set_sink(std::function<void(std::string_view)> sink) {

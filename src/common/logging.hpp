@@ -43,9 +43,6 @@ class Logger {
   /// Microseconds since process start on the monotonic clock.
   [[nodiscard]] static std::int64_t monotonic_us();
 
-  /// Small dense id of the calling thread (0, 1, 2, ... in first-log order).
-  [[nodiscard]] static std::uint32_t thread_id();
-
  private:
   Logger() = default;
   std::atomic<LogLevel> level_{LogLevel::kWarn};

@@ -27,14 +27,6 @@ double mean_of(const std::vector<double>& values) {
   return sum / static_cast<double>(values.size());
 }
 
-double stddev_of(const std::vector<double>& values) {
-  if (values.size() < 2) return 0.0;
-  const double m = mean_of(values);
-  double s = 0.0;
-  for (double v : values) s += (v - m) * (v - m);
-  return std::sqrt(s / static_cast<double>(values.size() - 1));
-}
-
 double rmse(const std::vector<double>& a, const std::vector<double>& b) {
   assert(a.size() == b.size());
   if (a.empty()) return 0.0;

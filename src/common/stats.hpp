@@ -111,9 +111,6 @@ double percentile_of_sorted(const std::vector<double>& sorted, double p);
 /// Arithmetic mean of a vector (0 for empty).
 double mean_of(const std::vector<double>& values);
 
-/// Sample standard deviation of a vector (0 for n < 2).
-double stddev_of(const std::vector<double>& values);
-
 /// Root-mean-square error between two equally sized series.
 double rmse(const std::vector<double>& a, const std::vector<double>& b);
 

@@ -1,29 +1,9 @@
 #include "data/plane.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
 namespace everest::data {
-
-std::string PlaneStats::to_string() const {
-  std::ostringstream os;
-  os << "local=" << local_hits << " hit=" << cache_hits
-     << " miss=" << cache_misses << " evict=" << evictions
-     << " xfer=" << transfers_issued << " dedup=" << transfers_deduped
-     << " pf=" << prefetch_issued << "/" << prefetch_useful
-     << " lost=" << objects_lost << " repoint=" << reads_repointed
-     << " tier=" << tier_hits << " demote=" << demotions << "/-"
-     << demote_rejected << " rescue=" << disk_rescues
-     << " scrub=" << scrub_verified << " quar=" << scrub_quarantined
-     << " repair=" << repairs << "+" << repair_redirected << "-"
-     << repair_lost << " ro=" << tier_faults << "/" << tier_resumes
-     << " fetchMB=" << bytes_fetched / (1024.0 * 1024.0)
-     << " replMB=" << bytes_replicated / (1024.0 * 1024.0)
-     << " demoteMB=" << bytes_demoted / (1024.0 * 1024.0)
-     << " promoteMB=" << bytes_promoted / (1024.0 * 1024.0);
-  return os.str();
-}
 
 namespace {
 
@@ -320,23 +300,14 @@ Result<std::size_t> DataPlane::primary_node(ObjectId id) const {
 
 Status DataPlane::stage(ObjectId id, std::size_t dst,
                         platform::Simulator::Callback on_staged) {
-  return stage_impl(id, dst, /*is_prefetch=*/false, obs::TraceContext{},
-                    std::move(on_staged));
-}
-
-Status DataPlane::stage(ObjectId id, std::size_t dst, obs::TraceContext ctx,
-                        platform::Simulator::Callback on_staged) {
-  return stage_impl(id, dst, /*is_prefetch=*/false, ctx,
-                    std::move(on_staged));
+  return stage_impl(id, dst, /*is_prefetch=*/false, std::move(on_staged));
 }
 
 Status DataPlane::prefetch(ObjectId id, std::size_t dst) {
-  return stage_impl(id, dst, /*is_prefetch=*/true, obs::TraceContext{},
-                    nullptr);
+  return stage_impl(id, dst, /*is_prefetch=*/true, nullptr);
 }
 
 Status DataPlane::stage_impl(ObjectId id, std::size_t dst, bool is_prefetch,
-                             obs::TraceContext ctx,
                              platform::Simulator::Callback on_staged) {
   if (!available(id)) {
     return NotFound("object " + std::to_string(id) +
@@ -385,11 +356,8 @@ Status DataPlane::stage_impl(ObjectId id, std::size_t dst, bool is_prefetch,
       ctr_cache_misses_->inc();
     }
 
-    // Propagated identity wins: a request-triggered staging's spans join
-    // the caller's trace; standalone stagings keep the per-object trace.
-    const std::uint64_t span_trace = ctx.valid() ? ctx.trace_id
-                                                 : key.object + 1;
-    const std::uint64_t span_parent = ctx.valid() ? ctx.parent_span : 0;
+    // A staging's promote/xfer spans join the object's synthetic trace.
+    const std::uint64_t span_trace = key.object + 1;
 
     // Miss. Cheapest source first: this node's own disk tier — a local
     // NVMe read instead of any fabric traffic.
@@ -399,7 +367,7 @@ Status DataPlane::stage_impl(ObjectId id, std::size_t dst, bool is_prefetch,
       const double issue_us = sim_->now();
       (void)tiers_[dst]->promote(
           key, [this, key, sb, cost, dst, is_prefetch, state, issue_us,
-                span_trace, span_parent] {
+                span_trace] {
             ++counters_.tier_hits;
             if (ctr_tier_hits_ != nullptr) ctr_tier_hits_->inc();
             counters_.bytes_promoted += sb;
@@ -408,7 +376,7 @@ Status DataPlane::stage_impl(ObjectId id, std::size_t dst, bool is_prefetch,
             if (tracing()) {
               config_.tracer->span(
                   obs::TimeDomain::kSim, span_trace,
-                  config_.tracer->next_id(), span_parent, issue_us,
+                  config_.tracer->next_id(), /*parent=*/0, issue_us,
                   sim_->now(), static_cast<std::uint32_t>(dst), "promote",
                   "data",
                   {{"object", std::to_string(key.object)},
@@ -439,13 +407,13 @@ Status DataPlane::stage_impl(ObjectId id, std::size_t dst, bool is_prefetch,
       const double issue_us = sim_->now();
       xfer_.fetch(key, sb, src, dst,
                   [this, key, sb, refetch_cost, src, dst, is_prefetch, state,
-                   issue_us, span_trace, span_parent] {
+                   issue_us, span_trace] {
                     if (tracing()) {
                       // Sim-time transfer span on the destination's track,
                       // in the owning object/task's (or caller's) trace.
                       config_.tracer->span(
                           obs::TimeDomain::kSim, span_trace,
-                          config_.tracer->next_id(), span_parent, issue_us,
+                          config_.tracer->next_id(), /*parent=*/0, issue_us,
                           sim_->now(),
                           static_cast<std::uint32_t>(dst), "xfer", "data",
                           {{"object", std::to_string(key.object)},
@@ -480,7 +448,7 @@ Status DataPlane::stage_impl(ObjectId id, std::size_t dst, bool is_prefetch,
     const double issue_us = sim_->now();
     (void)tiers_[src]->promote(
         key, [this, key, sb, cost, src, dst, is_prefetch, state, issue_us,
-              span_trace, span_parent] {
+              span_trace] {
           ++counters_.tier_hits;
           if (ctr_tier_hits_ != nullptr) ctr_tier_hits_->inc();
           counters_.bytes_promoted += sb;
@@ -489,11 +457,11 @@ Status DataPlane::stage_impl(ObjectId id, std::size_t dst, bool is_prefetch,
           xfer_.fetch(
               key, sb, src, dst,
               [this, key, sb, cost, src, dst, is_prefetch, state, issue_us,
-               span_trace, span_parent] {
+               span_trace] {
                 if (tracing()) {
                   config_.tracer->span(
                       obs::TimeDomain::kSim, span_trace,
-                      config_.tracer->next_id(), span_parent, issue_us,
+                      config_.tracer->next_id(), /*parent=*/0, issue_us,
                       sim_->now(),
                       static_cast<std::uint32_t>(dst), "xfer", "data",
                       {{"object", std::to_string(key.object)},

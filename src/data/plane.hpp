@@ -104,8 +104,6 @@ struct PlaneStats {
   double bytes_evicted = 0.0;
   double bytes_demoted = 0.0;         ///< cache → disk tier traffic
   double bytes_promoted = 0.0;        ///< disk tier → cache traffic
-
-  [[nodiscard]] std::string to_string() const;
 };
 
 /// Single-owner (one simulation drives it; the serve layer uses Cache
@@ -146,13 +144,6 @@ class DataPlane {
   /// all shards arrived. Counts hits/misses per shard. NOT_FOUND when the
   /// object is unknown or lost (on_staged is then never invoked).
   Status stage(ObjectId id, std::size_t dst,
-               platform::Simulator::Callback on_staged);
-
-  /// stage() with propagated trace identity: promote/xfer spans emitted
-  /// for this staging join `ctx`'s trace (parented under
-  /// ctx.parent_span) instead of the per-object synthetic trace, so a
-  /// request-triggered promote-on-miss stitches into the request chain.
-  Status stage(ObjectId id, std::size_t dst, obs::TraceContext ctx,
                platform::Simulator::Callback on_staged);
 
   /// Same movement as stage() but initiated ahead of demand: cache
@@ -243,7 +234,6 @@ class DataPlane {
 
  private:
   Status stage_impl(ObjectId id, std::size_t dst, bool is_prefetch,
-                    obs::TraceContext ctx,
                     platform::Simulator::Callback on_staged);
   void drop_object_replicas(const DataObject& object);
   /// Stamps (via the WAL when durable, a memory counter otherwise) and

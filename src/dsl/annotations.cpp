@@ -2,6 +2,7 @@
 
 namespace everest::dsl {
 
+namespace {
 std::string_view to_string(Locality locality) {
   switch (locality) {
     case Locality::kResident: return "resident";
@@ -10,6 +11,7 @@ std::string_view to_string(Locality locality) {
   }
   return "?";
 }
+}  // namespace
 
 void DataAnnotations::attach_to(ir::AttrMap& attrs) const {
   using ir::Attribute;

@@ -17,8 +17,6 @@ enum class Locality {
   kDistributed, // partitioned across nodes
 };
 
-std::string_view to_string(Locality locality);
-
 /// Data-characteristic and security annotations for one datum or task.
 struct DataAnnotations {
   /// Expected data volume per invocation, in MiB (drives placement).

@@ -13,14 +13,14 @@ std::string_view to_string(ParticleLayout layout) {
 
 namespace pdetail {
 
-enum class PKind { kField, kConstant, kBinary, kMap };
+enum class PKind { kField, kConstant, kBinary };
 
 struct PExprNode {
   PKind kind;
   std::vector<std::shared_ptr<PExprNode>> operands;
   int field_index = -1;   // kField
   double value = 0.0;     // kConstant
-  std::string op;         // kBinary kind / kMap fn
+  std::string op;         // kBinary kind
 };
 
 }  // namespace pdetail
@@ -45,22 +45,8 @@ std::shared_ptr<PExprNode> binary_node(const std::string& op,
 ParticleExpr operator+(const ParticleExpr& a, const ParticleExpr& b) {
   return ParticleExpr(binary_node("add", a.node_, b.node_));
 }
-ParticleExpr operator-(const ParticleExpr& a, const ParticleExpr& b) {
-  return ParticleExpr(binary_node("sub", a.node_, b.node_));
-}
 ParticleExpr operator*(const ParticleExpr& a, const ParticleExpr& b) {
   return ParticleExpr(binary_node("mul", a.node_, b.node_));
-}
-ParticleExpr operator/(const ParticleExpr& a, const ParticleExpr& b) {
-  return ParticleExpr(binary_node("div", a.node_, b.node_));
-}
-
-ParticleExpr pmap(const std::string& fn, const ParticleExpr& x) {
-  auto n = std::make_shared<PExprNode>();
-  n->kind = PKind::kMap;
-  n->op = fn;
-  n->operands = {x.node_};
-  return ParticleExpr(std::move(n));
 }
 
 ParticleExpr ParticleKernel::field(const std::string& name) {
@@ -155,11 +141,6 @@ class ParticleLowerer {
         EVEREST_ASSIGN_OR_RETURN(Value b, eval(node->operands[1]));
         return body_.create_value("kernel.binop", {a, b}, Type::f64(),
                                   {{"op", Attribute::string(node->op)}});
-      }
-      case PKind::kMap: {
-        EVEREST_ASSIGN_OR_RETURN(Value x, eval(node->operands[0]));
-        return body_.create_value("kernel.unop", {x}, Type::f64(),
-                                  {{"fn", Attribute::string(node->op)}});
       }
     }
     return Internal("unhandled particle expression kind");

@@ -42,10 +42,7 @@ class ParticleExpr {
   [[nodiscard]] bool valid() const { return node_ != nullptr; }
 
   friend ParticleExpr operator+(const ParticleExpr& a, const ParticleExpr& b);
-  friend ParticleExpr operator-(const ParticleExpr& a, const ParticleExpr& b);
   friend ParticleExpr operator*(const ParticleExpr& a, const ParticleExpr& b);
-  friend ParticleExpr operator/(const ParticleExpr& a, const ParticleExpr& b);
-  friend ParticleExpr pmap(const std::string& fn, const ParticleExpr& x);
 
  private:
   friend class ParticleKernel;
@@ -53,9 +50,6 @@ class ParticleExpr {
       : node_(std::move(node)) {}
   std::shared_ptr<pdetail::PExprNode> node_;
 };
-
-/// Elementwise function over a particle expression (sqrt/exp/abs/...).
-ParticleExpr pmap(const std::string& fn, const ParticleExpr& x);
 
 /// A particle system update kernel.
 class ParticleKernel {

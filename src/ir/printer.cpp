@@ -207,8 +207,5 @@ class Printer {
 }  // namespace
 
 std::string print(const Module& module) { return Printer().print_module(module); }
-std::string print(const Function& function) {
-  return Printer().print_function(function);
-}
 
 }  // namespace everest::ir

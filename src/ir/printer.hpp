@@ -17,7 +17,4 @@ namespace everest::ir {
 /// Prints a module in parseable textual form.
 std::string print(const Module& module);
 
-/// Prints one function.
-std::string print(const Function& function);
-
 }  // namespace everest::ir

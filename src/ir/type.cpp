@@ -16,6 +16,9 @@ std::string_view to_string(ScalarKind kind) {
   return "?";
 }
 
+namespace {
+
+/// Bytes occupied by one element of the given scalar kind.
 std::size_t byte_width(ScalarKind kind) {
   switch (kind) {
     case ScalarKind::kF32: return 4;
@@ -30,7 +33,7 @@ std::size_t byte_width(ScalarKind kind) {
   return 8;
 }
 
-std::string_view to_string(MemorySpace space) {
+std::string_view space_name(MemorySpace space) {
   switch (space) {
     case MemorySpace::kDefault: return "host";
     case MemorySpace::kDevice: return "device";
@@ -38,6 +41,8 @@ std::string_view to_string(MemorySpace space) {
   }
   return "?";
 }
+
+}  // namespace
 
 Type Type::scalar(ScalarKind kind) {
   Type t;
@@ -126,7 +131,7 @@ std::string Type::to_string() const {
       out += ir::to_string(elem_);
       if (is_memref() && space_ != MemorySpace::kDefault) {
         out += ", ";
-        out += ir::to_string(space_);
+        out += space_name(space_);
       }
       out += '>';
       return out;

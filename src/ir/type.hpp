@@ -21,9 +21,6 @@ enum class ScalarKind : std::uint8_t {
 
 std::string_view to_string(ScalarKind kind);
 
-/// Bytes occupied by one element of the given scalar kind.
-std::size_t byte_width(ScalarKind kind);
-
 /// Memory spaces for memref types, mirroring the EVEREST node model
 /// (paper Fig. 4: host DRAM, FPGA-local memory, on-chip BRAM).
 enum class MemorySpace : std::uint8_t {
@@ -31,8 +28,6 @@ enum class MemorySpace : std::uint8_t {
   kDevice = 1,    // FPGA-attached DDR/HBM
   kOnChip = 2,    // BRAM/URAM scratchpad
 };
-
-std::string_view to_string(MemorySpace space);
 
 class Type;
 

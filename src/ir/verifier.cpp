@@ -116,15 +116,10 @@ class FunctionVerifier {
 
 }  // namespace
 
-Status verify(const Function& function) {
-  register_everest_dialects();
-  return FunctionVerifier().run(function);
-}
-
 Status verify(const Module& module) {
   register_everest_dialects();
   for (const auto& fn : module) {
-    EVEREST_RETURN_IF_ERROR(verify(*fn));
+    EVEREST_RETURN_IF_ERROR(FunctionVerifier().run(*fn));
   }
   return OkStatus();
 }

@@ -11,7 +11,4 @@ namespace everest::ir {
 /// Verifies a whole module; returns the first violation found.
 Status verify(const Module& module);
 
-/// Verifies a single function.
-Status verify(const Function& function);
-
 }  // namespace everest::ir

@@ -1,6 +1,7 @@
 #include "jit/jit.hpp"
 
 #include <chrono>
+#include <utility>
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -72,13 +73,20 @@ std::size_t JitService::tick(double now_us) {
 }
 
 void JitService::start() {
-  bool expected = false;
-  if (!running_.compare_exchange_strong(expected, true)) return;
+  std::lock_guard<std::mutex> lock(wake_mu_);
+  if (running_) return;
+  running_ = true;
   worker_ = std::thread([this] { run_loop(); });
 }
 
 void JitService::stop() {
-  if (running_.exchange(false) && worker_.joinable()) worker_.join();
+  bool was_running = false;
+  {
+    std::lock_guard<std::mutex> lock(wake_mu_);
+    was_running = std::exchange(running_, false);
+  }
+  wake_.notify_all();
+  if (was_running && worker_.joinable()) worker_.join();
   if (env_ != nullptr && !config_.cache_path.empty()) {
     persist();  // best effort; callers needing the Status call persist()
   }
@@ -86,17 +94,15 @@ void JitService::stop() {
 
 void JitService::run_loop() {
   set_background_thread_priority();
-  while (running_.load(std::memory_order_acquire)) {
+  const auto period = std::chrono::microseconds(
+      static_cast<std::int64_t>(config_.scan_period_us));
+  std::unique_lock<std::mutex> lock(wake_mu_);
+  while (running_) {
+    lock.unlock();
+    const auto next_tick = std::chrono::steady_clock::now() + period;
     tick(steady_us());
-    // Sleep in small slices so stop() is responsive even with long scan
-    // periods.
-    double remaining_us = config_.scan_period_us;
-    while (remaining_us > 0.0 && running_.load(std::memory_order_acquire)) {
-      const double slice_us = std::min(remaining_us, 10'000.0);
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(static_cast<std::int64_t>(slice_us)));
-      remaining_us -= slice_us;
-    }
+    lock.lock();
+    wake_.wait_until(lock, next_tick, [this] { return !running_; });
   }
 }
 

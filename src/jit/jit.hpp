@@ -14,8 +14,9 @@
 //     compilation by construction, not by OS priorities.
 #pragma once
 
-#include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -96,7 +97,11 @@ class JitService {
   CompilationService service_;
   HotTupleDetector detector_;
 
-  std::atomic<bool> running_{false};
+  /// The scan thread waits on wake_ between ticks; stop() clears
+  /// running_ under wake_mu_ and notifies, so it returns at once.
+  std::mutex wake_mu_;
+  std::condition_variable wake_;
+  bool running_ = false;
   std::thread worker_;
 };
 

@@ -31,11 +31,6 @@ void CompilationService::register_kernel(KernelSpec spec) {
   specs_[spec.kernel] = std::move(spec);
 }
 
-bool CompilationService::has_kernel(const std::string& kernel) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return specs_.count(kernel) > 0;
-}
-
 std::size_t CompilationService::enqueue(
     const std::vector<HotCandidate>& candidates) {
   std::size_t admitted = 0;

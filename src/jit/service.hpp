@@ -66,7 +66,6 @@ class CompilationService {
   /// Registers the kernel spec the specializer compiles against.
   /// Candidates for unregistered kernels are dropped (counted failed).
   void register_kernel(KernelSpec spec);
-  [[nodiscard]] bool has_kernel(const std::string& kernel) const;
 
   /// Admits detector candidates into the queue. Tuples already covered
   /// by the cache or already queued are skipped; over capacity the

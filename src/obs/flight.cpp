@@ -64,11 +64,6 @@ std::optional<std::uint64_t> FlightRecorder::trigger(const std::string& reason,
   return seq;
 }
 
-std::size_t FlightRecorder::bundle_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return bundles_.size();
-}
-
 std::optional<FlightBundle> FlightRecorder::bundle(std::size_t index) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (index >= bundles_.size()) return std::nullopt;

@@ -78,8 +78,7 @@ class FlightRecorder {
   std::optional<std::uint64_t> trigger(const std::string& reason,
                                        Annotations notes = {});
 
-  [[nodiscard]] std::size_t bundle_count() const;
-  /// Newest-first access; nullopt when `index` >= bundle_count().
+  /// Newest-first access; nullopt when `index` is past the oldest bundle.
   [[nodiscard]] std::optional<FlightBundle> bundle(std::size_t index = 0) const;
   [[nodiscard]] std::uint64_t triggers() const;
   [[nodiscard]] std::uint64_t suppressed() const;

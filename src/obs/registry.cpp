@@ -126,11 +126,6 @@ RegistrySnapshot Registry::snapshot(double at_us) const {
   return snap;
 }
 
-std::size_t Registry::series_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size();
-}
-
 json::Value Registry::to_json() const {
   std::lock_guard<std::mutex> lock(mu_);
   json::Object counters;

@@ -100,11 +100,6 @@ class Registry {
   /// `at_us` on the caller's clock. The unit of time-series sampling.
   [[nodiscard]] RegistrySnapshot snapshot(double at_us = 0.0) const;
 
-  /// Number of registered series (cardinality — itself exported as
-  /// `obs.registry.series` by the telemetry sampler so a label explosion
-  /// is observable before it hurts).
-  [[nodiscard]] std::size_t series_count() const;
-
   /// Structured dump: {"counters":{key:n}, "gauges":{key:x},
   /// "histograms":{key:{count,sum,mean,p50,p99,p999,max}}}.
   [[nodiscard]] json::Value to_json() const;

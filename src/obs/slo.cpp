@@ -31,14 +31,6 @@ void SloMonitor::add_objective(SloObjective objective) {
   objectives_.emplace(o.spec.key, std::move(o));
 }
 
-std::vector<std::string> SloMonitor::objective_keys() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> keys;
-  keys.reserve(objectives_.size());
-  for (const auto& [key, o] : objectives_) keys.push_back(key);
-  return keys;
-}
-
 void SloMonitor::record(const std::string& key, double latency_us, bool ok,
                         double now_us) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -89,7 +89,6 @@ class SloMonitor {
   explicit SloMonitor(Registry* registry = nullptr);
 
   void add_objective(SloObjective objective);
-  [[nodiscard]] std::vector<std::string> objective_keys() const;
 
   /// Accounts one event against objective `key` at time `now_us` on the
   /// caller's clock. Unknown keys are ignored (objectives are opt-in).

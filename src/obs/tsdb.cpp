@@ -65,11 +65,6 @@ std::size_t TimeSeriesStore::size() const {
   return ring_.size();
 }
 
-double TimeSeriesStore::span_us() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.size() < 2 ? 0.0 : ring_.back().at_us - ring_.front().at_us;
-}
-
 std::optional<RegistrySnapshot> TimeSeriesStore::latest() const {
   std::lock_guard<std::mutex> lock(mu_);
   if (ring_.empty()) return std::nullopt;
@@ -127,16 +122,6 @@ double TimeSeriesStore::rate_per_s(const std::string& key,
   }
   if (covered_us <= 0.0) return 0.0;
   return counter_delta(key, window_us) / (covered_us / 1e6);
-}
-
-std::optional<double> TimeSeriesStore::gauge_value(
-    const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = ring_.rbegin(); it != ring_.rend(); ++it) {
-    const auto git = it->gauges.find(key);
-    if (git != it->gauges.end()) return git->second.value;
-  }
-  return std::nullopt;
 }
 
 std::optional<HistogramSnapshot> TimeSeriesStore::window_histogram(

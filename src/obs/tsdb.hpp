@@ -68,8 +68,6 @@ class TimeSeriesStore {
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const { return config_.capacity; }
   [[nodiscard]] double interval_us() const { return config_.interval_us; }
-  /// Time covered by the ring: newest at_us − oldest at_us (0 if <2).
-  [[nodiscard]] double span_us() const;
 
   [[nodiscard]] std::optional<RegistrySnapshot> latest() const;
   /// Latest sample with at_us <= `at_us` (clock-skew-tolerant alignment
@@ -86,8 +84,6 @@ class TimeSeriesStore {
   /// counter_delta scaled to events per second of *covered* time.
   [[nodiscard]] double rate_per_s(const std::string& key,
                                   double window_us) const;
-  /// Latest sampled gauge value (nullopt if the series never appeared).
-  [[nodiscard]] std::optional<double> gauge_value(const std::string& key) const;
   /// Percentile of ONLY the window's recordings (delta histogram between
   /// the window edges, reset-aware). nullopt when the series is missing
   /// or the window saw no events.

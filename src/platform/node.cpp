@@ -2,15 +2,6 @@
 
 namespace everest::platform {
 
-std::string_view to_string(Tier tier) {
-  switch (tier) {
-    case Tier::kEndpoint: return "endpoint";
-    case Tier::kInnerEdge: return "inner-edge";
-    case Tier::kCloud: return "cloud";
-  }
-  return "?";
-}
-
 const NodeSpec* PlatformSpec::find(const std::string& name) const {
   for (const NodeSpec& node : nodes) {
     if (node.name == name) return &node;

@@ -16,8 +16,6 @@ namespace everest::platform {
 /// Where a node sits in the hierarchy.
 enum class Tier : std::uint8_t { kEndpoint, kInnerEdge, kCloud };
 
-std::string_view to_string(Tier tier);
-
 /// An FPGA attached to (or reachable from) a node.
 struct FpgaSlot {
   std::string id;

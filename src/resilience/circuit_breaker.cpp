@@ -2,15 +2,6 @@
 
 namespace everest::resilience {
 
-std::string_view to_string(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed: return "closed";
-    case BreakerState::kOpen: return "open";
-    case BreakerState::kHalfOpen: return "half-open";
-  }
-  return "?";
-}
-
 void CircuitBreaker::open(double now_us) {
   state_ = BreakerState::kOpen;
   opened_at_us_ = now_us;

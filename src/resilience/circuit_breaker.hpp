@@ -12,7 +12,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <string_view>
 
 namespace everest::resilience {
 
@@ -27,8 +26,6 @@ struct BreakerPolicy {
 };
 
 enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
-
-std::string_view to_string(BreakerState state);
 
 /// One breaker. Not thread-safe on its own; CircuitBreakerBoard adds the
 /// lock.

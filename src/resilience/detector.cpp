@@ -20,15 +20,6 @@ double PhiAccrualDetector::phi(double now_us) const {
   return silence / mean_interval_us_ * kLog10E;
 }
 
-std::string_view to_string(Health health) {
-  switch (health) {
-    case Health::kHealthy: return "healthy";
-    case Health::kSuspected: return "suspected";
-    case Health::kDead: return "dead";
-  }
-  return "?";
-}
-
 HealthRegistry::HealthRegistry(std::size_t workers,
                                double expected_interval_us,
                                double suspect_phi, double dead_phi)

@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstddef>
-#include <string_view>
+#include <cstdint>
 #include <vector>
 
 namespace everest::resilience {
@@ -43,8 +43,6 @@ enum class Health : std::uint8_t {
   kSuspected,     ///< phi past suspect: stop dispatching new work
   kDead,          ///< phi past dead: recover its in-flight work
 };
-
-std::string_view to_string(Health health);
 
 /// Per-worker detectors plus the thresholded health state machine.
 /// kDead is sticky until a fresh heartbeat arrives (a restarted worker

@@ -70,25 +70,9 @@ FaultPlan& FaultPlan::reconfig_failure(int node, double at_us,
               probability});
 }
 
-FaultPlan& FaultPlan::disk_error(int node, double at_us, double duration_us,
-                                 double short_write_fraction) {
-  return add({FaultKind::kDiskIoError, at_us, duration_us, node,
-              short_write_fraction});
-}
-
-FaultPlan& FaultPlan::disk_full(int node, double at_us, double duration_us) {
-  return add({FaultKind::kDiskIoFull, at_us, duration_us, node, 1.0});
-}
-
 FaultPlan& FaultPlan::disk_corrupt(int node, double at_us, double duration_us,
                                    double flip_rate) {
   return add({FaultKind::kDiskIoCorrupt, at_us, duration_us, node, flip_rate});
-}
-
-FaultPlan& FaultPlan::disk_slow(int node, double at_us, double duration_us,
-                                double extra_sync_us) {
-  return add({FaultKind::kDiskIoSlow, at_us, duration_us, node,
-              extra_sync_us});
 }
 
 double FaultPlan::severity(FaultKind kind, int worker, double now_us) const {

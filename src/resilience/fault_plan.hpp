@@ -106,13 +106,8 @@ class FaultPlan {
                               double probability);
   FaultPlan& reconfig_failure(int node, double at_us, double duration_us,
                               double probability);
-  FaultPlan& disk_error(int node, double at_us, double duration_us,
-                        double short_write_fraction = 1.0);
-  FaultPlan& disk_full(int node, double at_us, double duration_us);
   FaultPlan& disk_corrupt(int node, double at_us, double duration_us,
                           double flip_rate = 1.0);
-  FaultPlan& disk_slow(int node, double at_us, double duration_us,
-                       double extra_sync_us);
   FaultPlan& add(FaultEvent event);
 
   [[nodiscard]] const std::vector<FaultEvent>& events() const {

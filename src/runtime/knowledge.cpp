@@ -20,15 +20,6 @@ KnowledgeBase::KnowledgeBase(const KnowledgeBase& other) {
   observations_ = other.observations_;
 }
 
-KnowledgeBase& KnowledgeBase::operator=(const KnowledgeBase& other) {
-  if (this == &other) return *this;
-  std::scoped_lock lock(mu_, other.mu_);
-  variants_ = other.variants_;
-  epochs_ = other.epochs_;
-  observations_ = other.observations_;
-  return *this;
-}
-
 Status KnowledgeBase::load(const std::vector<compiler::Variant>& variants) {
   std::lock_guard<std::mutex> lock(mu_);
   // Validate against both the stored sets and the batch itself before

@@ -52,7 +52,6 @@ class KnowledgeBase {
   /// Copies take a consistent snapshot of the source (its mutex is held
   /// during the copy); the copy starts with its own unlocked mutex.
   KnowledgeBase(const KnowledgeBase& other);
-  KnowledgeBase& operator=(const KnowledgeBase& other);
 
   /// Loads compiler metadata (appends; ids must be unique per kernel).
   Status load(const std::vector<compiler::Variant>& variants);

@@ -36,16 +36,6 @@ AnomalyDetector::Verdict AnomalyDetector::observe(const BehaviorSample& s) {
   return verdict;
 }
 
-std::string_view to_string(ProtectionLevel level) {
-  switch (level) {
-    case ProtectionLevel::kNormal: return "normal";
-    case ProtectionLevel::kMonitor: return "monitor";
-    case ProtectionLevel::kProtect: return "protect";
-    case ProtectionLevel::kQuarantine: return "quarantine";
-  }
-  return "?";
-}
-
 ProtectionLevel AutoProtectionPolicy::update(
     const AnomalyDetector::Verdict& verdict) {
   if (verdict.anomalous) {

@@ -60,8 +60,6 @@ enum class ProtectionLevel : std::uint8_t {
   kQuarantine,     // stop dispatching the kernel entirely
 };
 
-std::string_view to_string(ProtectionLevel level);
-
 /// Maps a stream of anomaly verdicts to a protection level with hysteresis:
 /// consecutive anomalies escalate, sustained clean behavior de-escalates.
 class AutoProtectionPolicy {

@@ -200,15 +200,6 @@ LoadReport run_closed_loop(const SubmitFn& submit, const DrainFn& drain,
   return collector.report;
 }
 
-LoadReport run_closed_loop(Server& server, const WorkloadSpec& spec,
-                           int clients, double think_ms) {
-  return run_closed_loop(
-      [&server](Request request, ResponseCallback on_done) {
-        return server.submit(std::move(request), std::move(on_done));
-      },
-      [&server] { server.drain(); }, spec, clients, think_ms);
-}
-
 std::vector<EventArrival> generate_event_arrivals(const EventStreamSpec& spec) {
   std::vector<EventArrival> schedule;
   if (spec.topics.empty() || spec.clients <= 0 || spec.events_per_s <= 0.0) {

@@ -96,8 +96,6 @@ LoadReport run_open_loop(Server& server, const WorkloadSpec& spec);
 LoadReport run_closed_loop(const SubmitFn& submit, const DrainFn& drain,
                            const WorkloadSpec& spec, int clients,
                            double think_ms = 0.0);
-LoadReport run_closed_loop(Server& server, const WorkloadSpec& spec,
-                           int clients, double think_ms = 0.0);
 
 // ---- event-stream arrival mode -------------------------------------------
 // Continuous-ingestion traffic: per-client arrival processes on an

@@ -27,8 +27,6 @@ enum class SlaClass : std::uint8_t {
   kThroughput = 1,
 };
 
-std::string_view to_string(SlaClass sla);
-
 /// Log2 bucket of a request's data-volume scale — the "data feature" axis
 /// of the serving layer's shape histograms and the JIT's hot-tuple key.
 /// Bucket b covers scales in [2^(b-0.5), 2^(b+0.5)); clamped to ±16 so a

@@ -4,14 +4,6 @@
 
 namespace everest::serve {
 
-std::string_view to_string(SlaClass sla) {
-  switch (sla) {
-    case SlaClass::kLatencyCritical: return "latency-critical";
-    case SlaClass::kThroughput: return "throughput";
-  }
-  return "?";
-}
-
 Status RequestQueue::push(PendingRequest pending) {
   const int lane = static_cast<int>(pending.request.sla);
   const std::string_view kernel = pending.request.kernel;

@@ -7,6 +7,8 @@ namespace everest::storage {
 
 using resilience::FaultKind;
 
+namespace {
+
 std::string_view to_string(IoOp op) {
   switch (op) {
     case IoOp::kOpen: return "open";
@@ -18,8 +20,6 @@ std::string_view to_string(IoOp op) {
   }
   return "?";
 }
-
-namespace {
 
 /// Journal/display name: the path's final component (temp-dir prefixes
 /// would make otherwise-identical runs diverge byte-wise).

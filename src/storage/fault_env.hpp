@@ -46,8 +46,6 @@ enum class IoOp : std::uint8_t {
   kRemove,
 };
 
-std::string_view to_string(IoOp op);
-
 /// One armed injection: fault the `count` matching calls after skipping
 /// `after_calls` of them. An empty `path_substr` matches every path.
 struct FaultRule {

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstring>
-#include <sstream>
 
 namespace everest::storage {
 
@@ -66,10 +65,6 @@ std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
     c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
-}
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
 }
 
 void put_u32(std::string& out, std::uint32_t v) {
@@ -146,27 +141,6 @@ std::string_view ByteReader::bytes(std::size_t n) {
   std::string_view out = data_.substr(pos_, n);
   pos_ += n;
   return out;
-}
-
-std::string_view to_string(LogRecordType type) {
-  switch (type) {
-    case LogRecordType::kPut: return "put";
-    case LogRecordType::kPlace: return "place";
-    case LogRecordType::kRelease: return "release";
-    case LogRecordType::kInvalidate: return "invalidate";
-    case LogRecordType::kDemote: return "demote";
-    case LogRecordType::kDiskErase: return "disk-erase";
-    case LogRecordType::kPromote: return "promote";
-    case LogRecordType::kSeal: return "seal";
-  }
-  return "?";
-}
-
-std::string LogRecord::to_string() const {
-  std::ostringstream os;
-  os << storage::to_string(type) << "#" << seq << " obj=" << object << "/"
-     << shard << "@v" << version << " node=" << node << " bytes=" << bytes;
-  return os.str();
 }
 
 void encode_record(const LogRecord& record, std::string& out) {

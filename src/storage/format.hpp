@@ -31,7 +31,6 @@ namespace everest::storage {
 
 // ---- little-endian primitive encoding -------------------------------------
 
-void put_u8(std::string& out, std::uint8_t v);
 void put_u32(std::string& out, std::uint32_t v);
 void put_u64(std::string& out, std::uint64_t v);
 /// Doubles travel as their IEEE-754 bit pattern (bit-exact roundtrip).
@@ -76,8 +75,6 @@ enum class LogRecordType : std::uint8_t {
   kSeal,         ///< advisory: a segment file was sealed on a node
 };
 
-std::string_view to_string(LogRecordType type);
-
 /// One fixed-size catalog mutation. Field meaning varies slightly by
 /// type: for kPut, `shard` carries the object's shard count and `node`
 /// the birth node; for everything else (object, shard, version) names
@@ -94,7 +91,6 @@ struct LogRecord {
   [[nodiscard]] data::ShardKey key() const {
     return data::ShardKey{object, shard, version};
   }
-  [[nodiscard]] std::string to_string() const;
 
   friend bool operator==(const LogRecord& a, const LogRecord& b) {
     return a.type == b.type && a.seq == b.seq && a.object == b.object &&

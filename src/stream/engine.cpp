@@ -56,21 +56,6 @@ Result<std::shared_ptr<StreamSession>> StreamEngine::subscribe(
   return session;
 }
 
-Status StreamEngine::unsubscribe(std::uint64_t session_id) {
-  std::shared_ptr<StreamSession> session;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    auto it = sessions_.find(session_id);
-    if (it == sessions_.end()) {
-      return NotFound("unknown session " + std::to_string(session_id));
-    }
-    session = it->second;
-    sessions_.erase(it);
-  }
-  session->close();
-  return OkStatus();
-}
-
 Status StreamEngine::attach(std::shared_ptr<StreamSession> session) {
   if (by_topic_.find(session->topic()) == by_topic_.end()) {
     return NotFound("no operator consumes topic '" + session->topic() + "'");
@@ -83,18 +68,6 @@ Status StreamEngine::attach(std::shared_ptr<StreamSession> session) {
   sessions_[id] = std::move(session);
   next_session_id_ = std::max(next_session_id_, id + 1);
   return OkStatus();
-}
-
-Result<std::shared_ptr<StreamSession>> StreamEngine::detach(
-    std::uint64_t session_id) {
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) {
-    return Status(NotFound("unknown session " + std::to_string(session_id)));
-  }
-  std::shared_ptr<StreamSession> session = std::move(it->second);
-  sessions_.erase(it);
-  return session;
 }
 
 std::vector<std::shared_ptr<StreamSession>> StreamEngine::detach_all() {
@@ -203,11 +176,9 @@ void StreamEngine::process(const Event& event, EngineStats* delta) {
   auto it = by_topic_.find(event.topic);
   if (it == by_topic_.end()) return;  // replayed topic nobody consumes now
 
-  // Pump-only writer: a relaxed read-max-store is race-free.
-  std::atomic<std::uint64_t>& f = it->second.frontier;
-  const std::uint64_t frontier =
-      std::max(f.load(std::memory_order_relaxed), event.event_time_us);
-  f.store(frontier, std::memory_order_relaxed);
+  std::uint64_t& frontier_max = it->second.frontier;
+  frontier_max = std::max(frontier_max, event.event_time_us);
+  const std::uint64_t frontier = frontier_max;
 
   std::vector<WindowOutput> outputs;
   std::uint64_t min_watermark = frontier;
@@ -307,40 +278,11 @@ Result<std::uint64_t> StreamEngine::replay_wal(std::uint64_t acked_horizon_us) {
   return folded;
 }
 
-void StreamEngine::reset_topic(const std::string& topic) {
-  auto it = by_topic_.find(topic);
-  if (it == by_topic_.end()) return;
-  for (const std::size_t idx : it->second.operators) operators_[idx]->reset();
-  it->second.frontier.store(0, std::memory_order_relaxed);
-}
-
 EngineStats StreamEngine::stats() const {
   std::lock_guard<std::mutex> lock(progress_mu_);
   return stats_;
 }
 
 std::vector<std::string> StreamEngine::topics() const { return topics_; }
-
-std::uint64_t StreamEngine::frontier_us(const std::string& topic) const {
-  auto it = by_topic_.find(topic);
-  return it == by_topic_.end()
-             ? 0
-             : it->second.frontier.load(std::memory_order_relaxed);
-}
-
-std::uint64_t StreamEngine::watermark_us(const std::string& topic) const {
-  auto it = by_topic_.find(topic);
-  if (it == by_topic_.end() || it->second.operators.empty()) return 0;
-  std::uint64_t wm = UINT64_MAX;
-  for (const std::size_t idx : it->second.operators) {
-    wm = std::min(wm, operators_[idx]->watermark_us());
-  }
-  return wm;
-}
-
-std::size_t StreamEngine::num_sessions() const {
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  return sessions_.size();
-}
 
 }  // namespace everest::stream

@@ -93,18 +93,12 @@ class StreamEngine {
                                                    const std::string& topic,
                                                    SessionConfig config = {});
 
-  /// Closes and removes one session. NOT_FOUND if unknown.
-  Status unsubscribe(std::uint64_t session_id);
-
   /// Re-attaches an existing session (failover re-home). The session's
   /// acked watermark keeps suppressing already-delivered windows.
   Status attach(std::shared_ptr<StreamSession> session);
 
-  /// Removes a session without closing it (its queue and ack state
-  /// survive for attach() on another engine). NOT_FOUND if unknown.
-  Result<std::shared_ptr<StreamSession>> detach(std::uint64_t session_id);
-
-  /// Removes every session without closing them (failover re-home).
+  /// Removes every session without closing them (their queues and ack
+  /// state survive for attach() on another engine: failover re-home).
   std::vector<std::shared_ptr<StreamSession>> detach_all();
 
   /// Spawns the pump. Idempotent.
@@ -132,27 +126,18 @@ class StreamEngine {
   /// Returns events folded.
   Result<std::uint64_t> replay_wal(std::uint64_t acked_horizon_us = 0);
 
-  /// Drops one topic's operator state and frontier (pre-replay reset).
-  void reset_topic(const std::string& topic);
-
   [[nodiscard]] EngineStats stats() const;
   [[nodiscard]] const Ingestor& ingestor() const { return ingestor_; }
   /// Registered topics in registration (WAL id) order.
   [[nodiscard]] std::vector<std::string> topics() const;
-  /// Max admitted event time on `topic` (0 when none).
-  [[nodiscard]] std::uint64_t frontier_us(const std::string& topic) const;
-  /// Min operator watermark on `topic` (0 when none).
-  [[nodiscard]] std::uint64_t watermark_us(const std::string& topic) const;
-  [[nodiscard]] std::size_t num_sessions() const;
 
  private:
   /// Per-topic fold state. The map holding it is fixed once the engine
   /// runs (add_operator refuses then), so readers need no lock for it.
   struct TopicState {
     std::vector<std::size_t> operators;  ///< indices into operators_
-    /// Max admitted event time: written by the pump only, read by the
-    /// metrics accessors.
-    std::atomic<std::uint64_t> frontier{0};
+    /// Max admitted event time (pump thread or stopped-engine replay).
+    std::uint64_t frontier = 0;
   };
 
   void pump();

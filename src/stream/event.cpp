@@ -1,6 +1,5 @@
 #include "stream/event.hpp"
 
-#include <cstdio>
 
 #include "common/hash.hpp"
 #include "storage/format.hpp"
@@ -17,18 +16,6 @@ void WindowOutput::encode(std::string& out) const {
   storage::put_u64(out, window_end_us);
   storage::put_u64(out, events);
   storage::put_f64(out, value);
-}
-
-std::string WindowOutput::to_string() const {
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "%s/%s key=%llu [%llu,%llu) events=%llu value=%.6g",
-                topic.c_str(), op.c_str(),
-                static_cast<unsigned long long>(key),
-                static_cast<unsigned long long>(window_start_us),
-                static_cast<unsigned long long>(window_end_us),
-                static_cast<unsigned long long>(events), value);
-  return buf;
 }
 
 bool operator==(const WindowOutput& a, const WindowOutput& b) {

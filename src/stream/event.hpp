@@ -53,7 +53,6 @@ struct WindowOutput {
   /// little-endian integers, IEEE-754 bit patterns) — the unit of the
   /// byte-identity checks.
   void encode(std::string& out) const;
-  [[nodiscard]] std::string to_string() const;
 
   friend bool operator==(const WindowOutput& a, const WindowOutput& b);
 };

@@ -117,8 +117,6 @@ Result<std::shared_ptr<StreamSession>> StreamFabric::subscribe(
 
 void StreamFabric::crash(std::size_t node) { crashed_.insert(node); }
 
-void StreamFabric::restore(std::size_t node) { crashed_.erase(node); }
-
 std::vector<std::string> StreamFabric::handle_failover() {
   std::vector<std::string> moved;
   for (auto& [name, topic] : topics_) {
@@ -161,11 +159,6 @@ void StreamFabric::flush() {
   for (auto& [name, topic] : topics_) {
     if (!node_crashed(topic.home)) topic.engine->flush();
   }
-}
-
-StreamEngine* StreamFabric::engine(const std::string& topic) {
-  auto it = topics_.find(topic);
-  return it == topics_.end() ? nullptr : it->second.engine.get();
 }
 
 }  // namespace everest::stream

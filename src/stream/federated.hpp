@@ -100,8 +100,6 @@ class StreamFabric {
   /// Standalone-mode fail-stop of `node` (with a federation attached,
   /// call Federation::crash and then handle_failover directly).
   void crash(std::size_t node);
-  /// Clears the standalone crash mark (node may home topics again).
-  void restore(std::size_t node);
   [[nodiscard]] bool node_crashed(std::size_t node) const;
 
   /// Re-homes every topic whose home is dead: kill, detach, rebuild on
@@ -114,7 +112,6 @@ class StreamFabric {
   void flush();
 
   [[nodiscard]] const FabricStats& stats() const { return stats_; }
-  [[nodiscard]] StreamEngine* engine(const std::string& topic);
 
  private:
   struct Topic {

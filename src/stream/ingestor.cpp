@@ -86,8 +86,6 @@ void Ingestor::close() {
   if (wal_ != nullptr) wal_->sync();
 }
 
-bool Ingestor::closed() const { return queue_.closed(); }
-
 std::size_t Ingestor::pending() const { return queue_.size(); }
 
 IngestStats Ingestor::stats() const {

@@ -72,7 +72,6 @@ class Ingestor {
   void wake();
 
   void close();
-  [[nodiscard]] bool closed() const;
   [[nodiscard]] std::size_t pending() const;
   [[nodiscard]] IngestStats stats() const;
   [[nodiscard]] bool wal_enabled() const { return wal_ != nullptr; }

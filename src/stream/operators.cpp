@@ -187,14 +187,4 @@ void PtdrRerouteOperator::reset() {
   init_routes();
 }
 
-std::unique_ptr<Operator> make_ptdr_reroute_operator(
-    std::string topic, WindowSpec spec,
-    std::shared_ptr<const apps::RoadNetwork> network, std::vector<OdPair> pairs,
-    PtdrRerouteConfig config, std::string name) {
-  return std::make_unique<PtdrRerouteOperator>(std::move(name),
-                                               std::move(topic), spec,
-                                               std::move(network),
-                                               std::move(pairs), config);
-}
-
 }  // namespace everest::stream

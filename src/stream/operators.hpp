@@ -110,9 +110,4 @@ class PtdrRerouteOperator : public Operator {
   std::vector<WindowOutput> scratch_;
 };
 
-std::unique_ptr<Operator> make_ptdr_reroute_operator(
-    std::string topic, WindowSpec spec,
-    std::shared_ptr<const apps::RoadNetwork> network, std::vector<OdPair> pairs,
-    PtdrRerouteConfig config = {}, std::string name = "ptdr_reroute");
-
 }  // namespace everest::stream

@@ -8,13 +8,6 @@ void ShardPublisher::subscribe(data::ObjectId object, std::size_t node) {
   subs_[object].insert(node);
 }
 
-void ShardPublisher::unsubscribe(data::ObjectId object, std::size_t node) {
-  auto it = subs_.find(object);
-  if (it == subs_.end()) return;
-  it->second.erase(node);
-  if (it->second.empty()) subs_.erase(it);
-}
-
 Status ShardPublisher::publish(data::ObjectId object, double bytes,
                                std::size_t producer, double delta_fraction) {
   if (delta_fraction <= 0.0 || delta_fraction > 1.0) {

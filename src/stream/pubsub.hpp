@@ -39,7 +39,6 @@ class ShardPublisher {
   /// Registers `node`'s interest in `object`: every future publish
   /// pushes the new version's deltas into that node's cache.
   void subscribe(data::ObjectId object, std::size_t node);
-  void unsubscribe(data::ObjectId object, std::size_t node);
 
   /// Re-registers `object` at a new version (DataPlane::put — replicas
   /// placed, old cached copies staled) and pushes `delta_fraction` of

@@ -75,11 +75,6 @@ void StreamSession::close() {
   cv_.notify_all();
 }
 
-bool StreamSession::closed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return closed_;
-}
-
 std::size_t StreamSession::queued() const {
   std::lock_guard<std::mutex> lock(mu_);
   return queue_.size();

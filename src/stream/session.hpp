@@ -82,10 +82,9 @@ class StreamSession {
   void ack(std::uint64_t watermark_us);
   [[nodiscard]] std::uint64_t acked_watermark_us() const;
 
-  /// Engine-side on unsubscribe/shutdown: wakes blocked pollers; queued
-  /// deliveries stay drainable.
+  /// Engine-side on shutdown: wakes blocked pollers; queued deliveries
+  /// stay drainable.
   void close();
-  [[nodiscard]] bool closed() const;
 
   [[nodiscard]] std::size_t queued() const;
   [[nodiscard]] SessionStats stats() const;

@@ -4,14 +4,6 @@
 
 namespace everest::stream {
 
-std::string_view to_string(WindowKind kind) {
-  switch (kind) {
-    case WindowKind::kTumbling: return "tumbling";
-    case WindowKind::kSliding: return "sliding";
-  }
-  return "?";
-}
-
 void WindowSpec::windows_of(std::uint64_t t,
                             std::vector<std::uint64_t>* starts) const {
   starts->clear();

@@ -35,8 +35,6 @@ enum class WindowKind : std::uint8_t {
   kSliding,       ///< overlapping windows advancing by `slide_us`
 };
 
-std::string_view to_string(WindowKind kind);
-
 struct WindowSpec {
   WindowKind kind = WindowKind::kTumbling;
   std::uint64_t size_us = 1'000'000;

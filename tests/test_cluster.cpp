@@ -787,6 +787,20 @@ TEST(Federation, AllNodesCrashedIsUnavailableNotUndefined) {
   federation.stop();
 }
 
+TEST(Federation, StopDoesNotWaitOutThePumpPeriod) {
+  FederationOptions options = small_federation(2);
+  options.pump_period_us = 5'000'000.0;  // one heartbeat tick per 5 s
+  Federation federation(options);
+  ASSERT_TRUE(federation.register_endpoint(test_endpoint()).ok());
+  ASSERT_TRUE(federation.start().ok());
+  // Let the pump run its first tick and start waiting for the next one.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto t0 = std::chrono::steady_clock::now();
+  federation.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(100));
+}
+
 TEST(Federation, LoadgenAdaptersDriveTheWholeCluster) {
   Federation federation(small_federation(2));
   ASSERT_TRUE(federation.register_endpoint(test_endpoint()).ok());

@@ -575,5 +575,19 @@ TEST(JitServiceTest, BackgroundThreadStartStopIsClean) {
   EXPECT_EQ(jit.cache().covers({"k", 2, "t1"}), 1u);
 }
 
+TEST(JitServiceTest, StopDoesNotWaitOutTheScanPeriod) {
+  runtime::KnowledgeBase kb;
+  serve::ServingMetrics metrics;
+  JitConfig config;
+  config.scan_period_us = 5'000'000.0;
+  JitService jit(&kb, &metrics.registry(), nullptr, nullptr, nullptr, config);
+  jit.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto t0 = std::chrono::steady_clock::now();
+  jit.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(100));
+}
+
 }  // namespace
 }  // namespace everest::jit

@@ -22,7 +22,6 @@
 #include "obs/registry.hpp"
 #include "platform/desim.hpp"
 #include "storage/storage.hpp"
-#include "stream/ingestor.hpp"
 
 namespace everest::storage {
 namespace {
@@ -201,52 +200,6 @@ TEST(Format, GoldenFramesArePinned) {
             "2d000000" "4490aa8e"
             "08" "0600000000000000" "0900000000000000" "01000000"
             "d007000000000000" "efbeadde00000000" "0000000000000000");
-}
-
-TEST(Format, GoldenIngestorJournalIsPinned) {
-  TempDir dir("golden_journal");
-  FaultEnv fenv(Env::posix());  // no rules: a pass-through Env
-  {
-    stream::IngestorConfig config;
-    config.wal_dir = dir.path();
-    config.wal.sync_every = 1;
-    stream::Ingestor ingestor(config, nullptr, &fenv);
-    stream::Event reading;
-    reading.topic = "aq";
-    reading.key = 7;
-    reading.event_time_us = 100;
-    reading.value = 42.5;
-    reading.seed = 0x1234;
-    stream::Event other = reading;
-    other.topic = "traffic";
-    other.key = 3;
-    other.event_time_us = 200;
-    other.value = -1.0;
-    other.sla = serve::SlaClass::kLatencyCritical;
-    stream::Event heartbeat;
-    heartbeat.topic = "aq";
-    heartbeat.event_time_us = 300;
-    heartbeat.punctuation = true;
-    ASSERT_TRUE(ingestor.offer(reading).ok());
-    ASSERT_TRUE(ingestor.offer(other).ok());
-    ASSERT_TRUE(ingestor.offer(heartbeat).ok());
-    ingestor.close();
-  }
-  const std::string journal =
-      fenv.read_file(CatalogLog::log_path(dir.path())).value();
-  ASSERT_EQ(journal.size(), 3 * kRecordFrameBytes);
-  EXPECT_EQ(to_hex(journal.substr(0, kRecordFrameBytes)),
-            "2d000000" "4c10ccdf"
-            "02" "0100000000000000" "0700000000000000" "00000000"
-            "6400000000000000" "3412000000000000" "0000000000404540");
-  EXPECT_EQ(to_hex(journal.substr(kRecordFrameBytes, kRecordFrameBytes)),
-            "2d000000" "216c1f54"
-            "02" "0200000000000000" "0300000000000000" "01000000"
-            "c800000000000000" "3412000000000000" "000000000000f0bf");
-  EXPECT_EQ(to_hex(journal.substr(2 * kRecordFrameBytes)),
-            "2d000000" "ea38b07a"
-            "08" "0300000000000000" "0000000000000000" "00000000"
-            "2c01000000000000" "0000000000000000" "0000000000000000");
 }
 
 // --------------------------------------------------------------- catalog --

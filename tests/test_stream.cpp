@@ -1,8 +1,9 @@
 // Tests for src/stream: event-time windowing determinism (TEST_P over
 // eviction policies + same-seed reruns), watermark/late-event edges,
 // bounded session queues with drop accounting, two-lane ingest
-// admission + WAL replay, pub/sub delta propagation, and the
-// crash-mid-window failover replay byte-identity contract.
+// admission + WAL replay (and the journal's pinned golden frames),
+// pub/sub delta propagation, and the crash-mid-window failover replay
+// byte-identity contract.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -24,6 +25,9 @@
 #include "obs/registry.hpp"
 #include "platform/desim.hpp"
 #include "serve/loadgen.hpp"
+#include "storage/fault_env.hpp"
+#include "storage/format.hpp"
+#include "storage/log.hpp"
 #include "stream/engine.hpp"
 #include "stream/event.hpp"
 #include "stream/federated.hpp"
@@ -470,6 +474,70 @@ TEST(Ingestor, WalRoundtripPreservesOrderAndPunctuation) {
     EXPECT_EQ(out[i].seed, in[i].seed) << i;
     EXPECT_EQ(out[i].punctuation, in[i].punctuation) << i;
   }
+}
+
+// The ingest journal's on-disk frames, pinned byte for byte: a change to
+// the event record layout must show up here as a deliberate re-baseline.
+using storage::CatalogLog;
+using storage::Env;
+using storage::FaultEnv;
+using storage::kRecordFrameBytes;
+
+std::string to_hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
+TEST(Format, GoldenIngestorJournalIsPinned) {
+  TempDir dir("golden_journal");
+  FaultEnv fenv(Env::posix());  // no rules: a pass-through Env
+  {
+    stream::IngestorConfig config;
+    config.wal_dir = dir.path();
+    config.wal.sync_every = 1;
+    stream::Ingestor ingestor(config, nullptr, &fenv);
+    stream::Event reading;
+    reading.topic = "aq";
+    reading.key = 7;
+    reading.event_time_us = 100;
+    reading.value = 42.5;
+    reading.seed = 0x1234;
+    stream::Event other = reading;
+    other.topic = "traffic";
+    other.key = 3;
+    other.event_time_us = 200;
+    other.value = -1.0;
+    other.sla = serve::SlaClass::kLatencyCritical;
+    stream::Event heartbeat;
+    heartbeat.topic = "aq";
+    heartbeat.event_time_us = 300;
+    heartbeat.punctuation = true;
+    ASSERT_TRUE(ingestor.offer(reading).ok());
+    ASSERT_TRUE(ingestor.offer(other).ok());
+    ASSERT_TRUE(ingestor.offer(heartbeat).ok());
+    ingestor.close();
+  }
+  const std::string journal =
+      fenv.read_file(CatalogLog::log_path(dir.path())).value();
+  ASSERT_EQ(journal.size(), 3 * kRecordFrameBytes);
+  EXPECT_EQ(to_hex(journal.substr(0, kRecordFrameBytes)),
+            "2d000000" "4c10ccdf"
+            "02" "0100000000000000" "0700000000000000" "00000000"
+            "6400000000000000" "3412000000000000" "0000000000404540");
+  EXPECT_EQ(to_hex(journal.substr(kRecordFrameBytes, kRecordFrameBytes)),
+            "2d000000" "216c1f54"
+            "02" "0200000000000000" "0300000000000000" "01000000"
+            "c800000000000000" "3412000000000000" "000000000000f0bf");
+  EXPECT_EQ(to_hex(journal.substr(2 * kRecordFrameBytes)),
+            "2d000000" "ea38b07a"
+            "08" "0300000000000000" "0000000000000000" "00000000"
+            "2c01000000000000" "0000000000000000" "0000000000000000");
 }
 
 // ---- app operators --------------------------------------------------------

@@ -22,20 +22,25 @@
 #      TwoLaneQueue hands whole vector buffers between producer and
 #      consumer threads (pop_all's buffer swap), and so does
 #      test_cluster, whose federation servers form and run batches on
-#      their own worker threads.
+#      their own worker threads;
+#   6. the dead-code sweep (tools/dead_symbols.sh): a Release build of the
+#      repo, plus perfbench/ configured into a scratch build dir, with
+#      -ffunction-sections -fdata-sections -Wl,--gc-sections; an `nm` diff
+#      then fails on any src/* library function that no linked binary
+#      keeps unless tools/dead_symbols.allow lists it with a reason.
 # Any failure aborts the script with a non-zero exit.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="${JOBS:-$(nproc)}"
 
-echo "=== [1/5] tier-1: configure + build + ctest ==="
+echo "=== [1/6] tier-1: configure + build + ctest ==="
 cmake -B "$ROOT/build" -S "$ROOT" >/dev/null
 cmake --build "$ROOT/build" -j "$JOBS"
 (cd "$ROOT/build" && ctest --output-on-failure -j "$JOBS")
 
 echo
-echo "=== [2/5] bench smokes (exit 1 = criterion failed, 2 = bad usage) ==="
+echo "=== [2/6] bench smokes (exit 1 = criterion failed, 2 = bad usage) ==="
 smoke_failures=0
 for bench in "$ROOT"/build/bench/bench_e*; do
   [ -x "$bench" ] || continue
@@ -59,7 +64,7 @@ if [ "$smoke_failures" -ne 0 ]; then
 fi
 
 echo
-echo "=== [3/5] trace lint: flight-recorder bundles load in Perfetto ==="
+echo "=== [3/6] trace lint: flight-recorder bundles load in Perfetto ==="
 if ls "$ROOT"/build/e25_flight/*.trace.json >/dev/null 2>&1; then
   "$ROOT"/build/tools/trace_lint "$ROOT"/build/e25_flight/*.trace.json
 else
@@ -68,7 +73,7 @@ else
 fi
 
 echo
-echo "=== [4/5] TSan: serve + obs + data + cluster + storage + stream + jit + runtime tests ==="
+echo "=== [4/6] TSan: serve + obs + data + cluster + storage + stream + jit + runtime tests ==="
 cmake -B "$ROOT/build-tsan" -S "$ROOT" -DEVEREST_SANITIZE=thread >/dev/null
 cmake --build "$ROOT/build-tsan" -j "$JOBS" \
   --target test_serve test_obs test_data test_cluster test_storage test_stream \
@@ -77,13 +82,17 @@ cmake --build "$ROOT/build-tsan" -j "$JOBS" \
   -R 'test_serve|test_obs|test_data|test_cluster|test_storage|test_stream|test_jit|test_runtime')
 
 echo
-echo "=== [5/5] ASan: storage + data + common + stream + serve + cluster (leaks, hostile input) ==="
+echo "=== [5/6] ASan: storage + data + common + stream + serve + cluster (leaks, hostile input) ==="
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DEVEREST_SANITIZE=address >/dev/null
 cmake --build "$ROOT/build-asan" -j "$JOBS" \
   --target test_storage test_data test_common test_stream test_serve \
   test_cluster
 (cd "$ROOT/build-asan" && ctest --output-on-failure -j "$JOBS" \
   -R 'test_storage|test_data|test_common|test_stream|test_serve|test_cluster')
+
+echo
+echo "=== [6/6] dead code: no library function outside every linked binary ==="
+"$ROOT/tools/dead_symbols.sh" "$ROOT/build-gc"
 
 echo
 echo "check.sh: all gates passed."
